@@ -209,21 +209,55 @@ def _eval_terms(terms, prefix):
 
 
 def _integer_cubic_roots(coeffs, lo, hi):
-    """Integer roots of c0 + c1 t + c2 t^2 + c3 t^3 in [lo, hi], exactly."""
+    """Integer roots of c0 + c1 t + c2 t^2 + c3 t^3 in [lo, hi], exactly.
+
+    Each real critical point is enclosed in a short integer bracket, found
+    with `math.isqrt` of the discriminant of the derivative.  The bracket
+    points are tested one by one; between brackets the cubic is monotone,
+    so each gap holds at most one root, found by integer bisection.
+    """
     c0, c1, c2, c3 = coeffs
     if c3 == 0 and c2 == 0 and c1 == 0:
         return list(range(lo, hi + 1)) if c0 == 0 else []
-    poly = [c3, c2, c1, c0]
-    while poly[0] == 0:
-        poly.pop(0)
+
+    def f(t):
+        return ((c3 * t + c2) * t + c1) * t + c0
+
+    # critical points are (-c2 -+ sqrt(disc)) / (3 c3), or -c1 / (2 c2) when c3 = 0;
+    # each numerator pair encloses one of them, since isqrt(disc) <= sqrt(disc) < isqrt + 1
+    if c3:
+        disc = c2 * c2 - 3 * c3 * c1
+        s = math.isqrt(disc) if disc >= 0 else None
+        nums = [] if s is None else [(-c2 - s - 1, -c2 - s), (-c2 + s, -c2 + s + 1)]
+        d = 3 * c3
+    else:
+        nums, d = ([(-c1, -c1)] if c2 else []), 2 * c2
+    brackets = sorted((min(x // d for x in pair), max(-(-x // d) for x in pair))
+                      for pair in nums)
     roots = set()
-    for r in np.roots([float(c) for c in poly]):
-        if abs(r.imag) > 1e-6:
-            continue
-        for cand in (math.floor(r.real), round(r.real), math.ceil(r.real)):
-            if lo <= cand <= hi and c0 + c1 * cand + c2 * cand**2 + c3 * cand**3 == 0:
-                roots.add(int(cand))
+    start = lo
+    for a, b in brackets:
+        roots.update(_monotone_root(f, start, min(a - 1, hi)))
+        roots.update(t for t in range(max(a, lo), min(b, hi) + 1) if f(t) == 0)
+        start = max(start, b + 1)
+    roots.update(_monotone_root(f, start, hi))
     return sorted(roots)
+
+
+def _monotone_root(f, lo, hi):
+    """The integer zero of f on [lo, hi], given f monotone there, as a list."""
+    if lo > hi:
+        return []
+    sign = 1 if f(hi) >= f(lo) else -1
+    if sign * f(lo) > 0 or sign * f(hi) < 0:
+        return []
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sign * f(mid) < 0:
+            lo = mid + 1
+        else:
+            hi = mid
+    return [lo] if f(lo) == 0 else []
 
 
 # -- oscillatory integrals --------------------------------------------------

@@ -5,15 +5,11 @@ Every subcommand reads a cubic polynomial from a JSON file
 report to standard output (CSV for plot-ready tables with --csv).  Exit
 codes: 0 success, 1 input error, 2 budget exceeded, 3 negative mathematical
 verdict (e.g. an insoluble congruence).  Identical argv and seed produce
-byte-identical JSON when --deterministic suppresses the timing field.  The
-environment variable CUBIC_THREADS caps internal parallelism (all current
-kernels are deterministic single-thread chunked loops, so it is a cap, not
-a requirement).
+byte-identical JSON when --deterministic suppresses the timing field.
 """
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -36,13 +32,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_BUDGET = 2
 EXIT_NEGATIVE = 3
-
-
-def _threads():
-    try:
-        return max(1, int(os.environ.get("CUBIC_THREADS", "1")))
-    except ValueError:
-        raise InputError("CUBIC_THREADS must be an integer")
 
 
 def _load_poly(path):
@@ -298,7 +287,6 @@ _DEFAULT_BUDGETS = {
 def run(argv):
     t0 = time.time()
     try:
-        _threads()
         args = _build_parser().parse_args(argv)
         if args.budget is None:
             args.budget = _DEFAULT_BUDGETS.get(args.command, DEFAULT_TERM_BUDGET)

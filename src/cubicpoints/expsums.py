@@ -23,10 +23,12 @@ import numpy as np
 
 from .arith import euler_phi, factorize, is_squarefull, omega, ramanujan_prime_power
 from .errors import BudgetExceededError, InputError
+from .generic import Poly
 from .intlinalg import smith_diagonal
+from .residues import (drop_unused, eval_mod_vec, residue_chunks, valuation_histogram,
+                       zero_count)
 
 DEFAULT_TERM_BUDGET = 10**9
-_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -80,84 +82,17 @@ def _units(q):
     return [a for a in range(1, q + 1) if gcd(a, q) == 1] if q > 1 else [1]
 
 
-def residue_chunks(q, m, chunk=_CHUNK):
-    """Yield int64 arrays of shape (N, m) covering (Z/q)^m lexicographically."""
-    from itertools import product
-
-    inner = m
-    while inner > 0 and q**inner > chunk:
-        inner -= 1
-    inner_count = q**inner
-    grid = np.empty((inner_count, m), dtype=np.int64)
-    rem = np.arange(inner_count)
-    for i in range(inner - 1, -1, -1):
-        grid[:, m - inner + i] = rem % q
-        rem //= q
-    if inner == m:
-        yield grid
-        return
-    for outer in product(range(q), repeat=m - inner):
-        block = grid.copy()
-        for i, val in enumerate(outer):
-            block[:, i] = val
-        yield block
-
-
-def eval_mod_vec(g, X, q):
-    """g(X) mod q for a CubicPolynomial g at rows of X (entries reduced mod q)."""
-    N = X.shape[0]
-    acc = np.full(N, g.const % q, dtype=np.int64)
-    for i, c in enumerate(g.lin):
-        if c % q:
-            acc = (acc + (c % q) * X[:, i]) % q
-    for (i, j), c in g.quad.items():
-        if c % q:
-            acc = (acc + (c % q) * (X[:, i - 1] * X[:, j - 1] % q)) % q
-    for (i, j, k), c in g.cubic.items():
-        if c % q:
-            acc = (acc + (c % q) * (X[:, i - 1] * X[:, j - 1] % q * X[:, k - 1] % q)) % q
-    return acc
-
-
-def _joint_histogram(spec, chunk=_CHUNK):
+def _joint_histogram(spec):
     """J[s, t] = #{y mod q : g(y) = s, v.y = t (mod q)}, times q^(dropped vars)."""
     g, q, v = spec.g, spec.q, spec.v
     n = g.n
-    used = set()
-    for key in g.cubic:
-        used.update(key)
-    for key in g.quad:
-        used.update(key)
-    for i, c in enumerate(g.lin):
-        if c % q:
-            used.add(i + 1)
-    for i, c in enumerate(v):
-        if c % q:
-            used.add(i + 1)
-    cols = sorted(i - 1 for i in used)
-    dropped = n - len(cols)
+    vlin = Poly(n, {tuple(int(a == i) for a in range(n)): c for i, c in enumerate(v)})
+    (gr, _), used = drop_unused([g, vlin], q)
+    vr = np.array([v[i] for i in used], dtype=np.int64)
     J = np.zeros(q * q, dtype=np.int64)
-    if not cols:
-        J[(g.const % q) * q] = 1
-        return (J * q**dropped).reshape(q, q)
-    # relabel to the active variables only
-    sub = {i + 1: a + 1 for a, i in enumerate(cols)}
-    from .polynomials import CubicPolynomial
-
-    gm = len(cols)
-    cub = {tuple(sorted(sub[i] for i in key)): c for key, c in g.cubic.items()}
-    qd = {tuple(sorted(sub[i] for i in key)): c for key, c in g.quad.items()}
-    lin = [0] * gm
-    for i, c in enumerate(g.lin):
-        if i + 1 in sub:
-            lin[sub[i + 1] - 1] = c
-    gr = CubicPolynomial(gm, cub, qd, lin, g.const)
-    vr = np.array([v[i] for i in cols], dtype=np.int64)
-    for X in residue_chunks(q, gm, chunk):
-        s = eval_mod_vec(gr, X, q)
-        t = (X @ vr) % q
-        J += np.bincount(s * q + t, minlength=q * q)
-    return (J * q**dropped).reshape(q, q)
+    for X in residue_chunks(q, len(used)):
+        J += np.bincount(eval_mod_vec(gr, X, q) * q + X @ vr % q, minlength=q * q)
+    return (J * q ** (n - len(used))).reshape(q, q)
 
 
 def complete_sum(spec, budget=DEFAULT_TERM_BUDGET):
@@ -250,16 +185,18 @@ def su_qz(g, u, q, z, ctx, budget=DEFAULT_TERM_BUDGET):
 
 
 def _eval_int_vec(g, X):
-    """Exact integer g(X) on int64 rows (coordinates small enough not to overflow)."""
-    N = X.shape[0]
-    acc = np.full(N, g.const, dtype=np.int64)
-    for i, c in enumerate(g.lin):
-        if c:
-            acc += c * X[:, i]
-    for (i, j), c in g.quad.items():
-        acc += c * X[:, i - 1] * X[:, j - 1]
-    for (i, j, k), c in g.cubic.items():
-        acc += c * X[:, i - 1] * X[:, j - 1] * X[:, k - 1]
+    """Exact integer g(X) on int64 rows; InputError where int64 could wrap around."""
+    terms = g.monomials()
+    xmax = max(int(np.abs(X).max()) if X.size else 0, 1)
+    bound = sum(abs(c) * xmax ** len(cols) for c, cols in terms)
+    if bound >= 2**63:
+        raise InputError(f"values of g on this box reach {bound:.3g}, beyond int64")
+    acc = np.zeros(X.shape[0], dtype=np.int64)
+    for c, cols in terms:
+        term = np.int64(c)
+        for col in cols:
+            term = term * X[:, col]
+        acc += term
     return acc
 
 
@@ -384,13 +321,13 @@ def count_M(g, p, f, k, budget=DEFAULT_TERM_BUDGET):
     points = p ** ((f - 1) * n)
     if points > budget:
         raise BudgetExceededError(points, budget, "lifting-count enumeration")
-    q = p**f
+    return zero_count(g, _class_lifts(k, p, f), p**f)
+
+
+def _class_lifts(k, p, f):
+    """Chunks of the residues h mod p^f with h = k mod p, in lexicographic order."""
     kvec = np.array(k, dtype=np.int64)
-    total = 0
-    for T in residue_chunks(p ** (f - 1), n):
-        H = (kvec[None, :] + p * T) % q
-        total += int(np.count_nonzero(eval_mod_vec(g, H, q) == 0))
-    return total
+    return ((kvec[None, :] + p * T) % p**f for T in residue_chunks(p ** (f - 1), len(k)))
 
 
 @dataclass(frozen=True)
@@ -429,21 +366,8 @@ def M_split_identity_check(g, p, f, k, ell, budget=DEFAULT_TERM_BUDGET):
     if points > budget:
         raise BudgetExceededError(points, budget, "M-split enumeration")
     # valuation histogram of g(h) mod p^ell over the congruence class of k
-    qell = p**ell
-    kvec = np.array(k, dtype=np.int64)
-    val_hist = np.zeros(ell + 1, dtype=np.int64)  # valuation capped at ell
-    qf = p**f
-    for T in residue_chunks(p ** (f - 1), n):
-        H = (kvec[None, :] + p * T) % qf
-        r = eval_mod_vec(g, H, qell)
-        v = np.zeros(r.shape[0], dtype=np.int64)
-        cur = r.copy()
-        for _ in range(ell):
-            step = cur % p == 0
-            v += step
-            cur = np.where(step, cur // p, cur)
-        # cur = 0 reduced mod p^ell ends at exactly v = ell, the cap
-        val_hist += np.bincount(v, minlength=ell + 1)
+    lifts = (H % p**ell for H in _class_lifts(k, p, f))
+    val_hist = valuation_histogram(g, lifts, p, ell)
     total = 0
     for e in range(0, ell + 1):
         for v in range(ell + 1):

@@ -5,7 +5,8 @@ sum_i d_i t^i (with t the class of the generator of F_p[t]/(modulus)) has
 index sum_i d_i p^i.  The additive zero has index 0 and integer constants
 c embed as index c mod p.  For j >= 2 the field carries dense add/mul
 lookup tables, so polynomial evaluation over large point sets is numpy
-fancy-indexing; for j = 1 plain modular arithmetic is used.
+fancy-indexing; for j = 1 the shared modular evaluator is used.  Point grids
+are int32 arrays of element indices.
 
 The canonical modulus for each (p, j) is the lexicographically first monic
 irreducible polynomial, so counts are reproducible across runs.
@@ -13,16 +14,15 @@ irreducible polynomial, so counts are reproducible across runs.
 
 from functools import lru_cache
 from itertools import product
-from math import prod
 
 import numpy as np
 
 from .errors import BudgetExceededError, InputError
 from .generic import Poly
+from .residues import cyclic_convolve, drop_unused, eval_mod_vec, residue_chunks
 
 DEFAULT_POINT_BUDGET = 50_000_000
 _TABLE_CAP = 2500
-_CHUNK = 1 << 20
 
 
 def is_prime(m):
@@ -205,14 +205,17 @@ class ExtField:
 
     def vmul(self, a, b):
         if self.j == 1:
-            return (a * b) % self.p
+            return np.multiply(a, b, dtype=np.int64) % self.p
         return self._mul[a, b]
 
     def vpow(self, a, e):
         if e == 0:
             return np.zeros_like(a) + 1
         if self.j == 1:
-            return pow_mod_vec(a, e, self.p)
+            out = a
+            for _ in range(e - 1):
+                out = self.vmul(out, a)
+            return out % self.p
         if e == 1:
             return a
         if e == 2:
@@ -224,108 +227,43 @@ class ExtField:
             out = self._mul[out, a]
         return out
 
-    def vscale(self, c, a):
-        c = self.embed(c)
-        if c == 1:
-            return a
-        if self.j == 1:
-            return (c * a) % self.p
-        return self._mul[c, a]
-
     def eval_poly_vec(self, poly, X):
         """Evaluate a Poly at points X (array of shape (N, m) of element indices)."""
-        N = X.shape[0]
-        acc = np.zeros(N, dtype=np.int64 if self.j == 1 else np.int32)
+        if self.j == 1:
+            return eval_mod_vec(poly, X, self.p)
+        acc = np.zeros(X.shape[0], dtype=np.int32)
         for e, c in poly.terms.items():
+            c = self.embed(c)
             term = None
             for i, ei in enumerate(e):
                 if ei:
                     f = self.vpow(X[:, i], ei)
-                    term = f if term is None else self.vmul(term, f)
+                    term = f if term is None else self._mul[term, f]
             if term is None:
-                term = np.full(N, self.embed(c), dtype=acc.dtype)
-            else:
-                term = self.vscale(c, term)
-            acc = self.vadd(acc, term)
+                term = np.full(X.shape[0], c, dtype=np.int32)
+            elif c != 1:
+                term = self._mul[c, term]
+            acc = self._add[acc, term]
         return acc
-
-    def point_chunks(self, m, chunk=_CHUNK):
-        """Yield arrays of shape (N, m) covering F_q^m in lexicographic order."""
-        q = self.q
-        total = q**m
-        inner = m
-        while inner > 0 and q**inner > chunk:
-            inner -= 1
-        inner_count = q**inner
-        grid = np.empty((inner_count, m), dtype=np.int32)
-        rem = np.arange(inner_count)
-        for i in range(inner - 1, -1, -1):
-            grid[:, m - inner + i] = rem % q
-            rem //= q
-        if inner == m:
-            yield grid
-            return
-        for outer in product(range(q), repeat=m - inner):
-            block = grid.copy()
-            for i, v in enumerate(outer):
-                block[:, i] = v
-            yield block
-        assert total == inner_count * q ** (m - inner)
-
-
-def pow_mod_vec(a, e, p):
-    out = a % p
-    for _ in range(e - 1):
-        out = (out * (a % p)) % p
-    return out
-
-
-def _as_generic(F):
-    if isinstance(F, Poly):
-        return F
-    return F.to_generic()
-
-
-def _restrict_to_used(polys, m):
-    """Drop variables that appear in none of the polynomials.
-
-    Returns (restricted polys, number of active variables, number dropped).
-    """
-    used = sorted({v for f in polys for v in f.variables_used()})
-    if len(used) == m:
-        return polys, m, 0
-    remap = {v: i + 1 for i, v in enumerate(used)}
-    out = []
-    for f in polys:
-        terms = {}
-        for e, c in f.terms.items():
-            e2 = [0] * len(used)
-            for i, x in enumerate(e):
-                if x:
-                    e2[remap[i + 1] - 1] = x
-            terms[tuple(e2)] = terms.get(tuple(e2), 0) + c
-        out.append(Poly(len(used), terms))
-    return out, len(used), m - len(used)
 
 
 def count_zeros_system(polys, field, budget=DEFAULT_POINT_BUDGET):
     """Exact #{x in F_q^m : all polys vanish}, by (vectorized) enumeration.
 
-    Variables absent from every polynomial are factored out analytically.
+    Variables absent from every polynomial mod p are factored out analytically.
     """
-    polys = [_as_generic(f) for f in polys]
     m = polys[0].n
     if any(f.n != m for f in polys):
         raise InputError("polynomials live in different variable counts")
-    active = [f for f in polys if not f.is_zero()]
-    if not active:
+    reduced, used = drop_unused(polys, field.p)
+    reduced = [f for f in reduced if not f.is_zero()]
+    if not reduced:
         return field.q**m
-    reduced, mact, dropped = _restrict_to_used(active, m)
-    needed = field.q**mact
+    needed = field.q ** len(used)
     if needed > budget:
         raise BudgetExceededError(needed, budget, "affine point enumeration")
     count = 0
-    for X in field.point_chunks(mact):
+    for X in residue_chunks(field.q, len(used), dtype=np.int32):
         mask = field.eval_poly_vec(reduced[0], X) == 0
         for f in reduced[1:]:
             if not mask.any():
@@ -334,7 +272,7 @@ def count_zeros_system(polys, field, budget=DEFAULT_POINT_BUDGET):
             vals = field.eval_poly_vec(f, X[sub])
             mask[sub[vals != 0]] = False
         count += int(mask.sum())
-    return count * field.q**dropped
+    return count * field.q ** (m - len(used))
 
 
 def count_affine_zeros(F, field, budget=DEFAULT_POINT_BUDGET):
@@ -344,52 +282,51 @@ def count_affine_zeros(F, field, budget=DEFAULT_POINT_BUDGET):
     histogram convolution, so diagonal forms stay cheap at large q^m; anything
     else is enumerated within the budget.
     """
-    F = _as_generic(F)
+    F = F.to_generic()
     if F.is_zero():
         return field.q**F.n
     if F.is_separable():
-        return _count_separable(F, field)
+        return count_separable(F, field.q, field)
     return count_zeros_system([F], field, budget)
 
 
 def value_histogram_univariate(field, coeff_map):
     """Histogram over F_q of sum_d c_d x^d as x runs over the field."""
-    x = np.arange(field.q, dtype=np.int32)
-    acc = np.zeros(field.q, dtype=np.int64 if field.j == 1 else np.int32)
-    for d, c in coeff_map.items():
-        acc = field.vadd(acc, field.vscale(c, field.vpow(x, d)))
-    return np.bincount(acc, minlength=field.q).astype(np.int64)
+    piece = Poly(1, {(d,): c for d, c in coeff_map.items()})
+    x = np.arange(field.q, dtype=np.int32)[:, None]
+    return np.bincount(field.eval_poly_vec(piece, x), minlength=field.q).astype(np.int64)
 
 
 def additive_convolve(field, h1, h2):
     """Cyclic convolution of histograms over the additive group of the field."""
-    q = field.q
-    out = np.zeros(q, dtype=np.int64)
     if field.j == 1:
-        for b in range(q):
-            if h2[b]:
-                out += np.roll(h1, b) * int(h2[b])
-        return out
-    for b in range(q):
-        if h2[b]:
-            out[field._add[:, b]] += h1 * int(h2[b])
+        return cyclic_convolve(h1, h2)
+    out = np.zeros(field.q, dtype=np.int64)
+    for b in np.flatnonzero(h2):
+        out[field._add[:, b]] += h1 * int(h2[b])
     return out
 
 
-def _count_separable(F, field):
+def count_separable(F, q, field=None):
+    """Exact #{x : F(x) = 0} for a separable Poly F, by value-histogram convolution.
+
+    The count is over Z/q when `field` is None, else over the field F_q.
+    """
     const, per_var = F.single_variable_pieces()
+    x = np.arange(q)[:, None]
     hist = None
-    unused = 0
-    for cmap in per_var:
-        if not cmap:
-            unused += 1
-            continue
-        h = value_histogram_univariate(field, cmap)
-        hist = h if hist is None else additive_convolve(field, hist, h)
+    for cmap in filter(None, per_var):
+        piece = Poly(1, {(d,): c for d, c in cmap.items()})
+        vals = eval_mod_vec(piece, x, q) if field is None else field.eval_poly_vec(piece, x)
+        h = np.bincount(vals, minlength=q)
+        if hist is not None:
+            h = cyclic_convolve(hist, h) if field is None else additive_convolve(field, hist, h)
+        hist = h
     if hist is None:
-        return 0  # non-zero constant, no variables: no zeros (const==0 handled above)
-    target = field.neg_idx(field.embed(const))
-    return int(hist[target]) * field.q**unused
+        return 0  # non-zero constant, no variables: no zeros (const == 0 handled by callers)
+    # -const lies in the prime subfield, whose elements have index c mod p
+    target = (-const) % (q if field is None else field.p)
+    return int(hist[target]) * q ** sum(1 for cmap in per_var if not cmap)
 
 
 def projective_from_affine(affine_count, q):

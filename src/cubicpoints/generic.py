@@ -67,6 +67,14 @@ class Poly:
             total += v
         return total
 
+    def to_generic(self):
+        return self
+
+    def monomials(self):
+        """(coefficient, 0-based column per factor) for each term: 5 x1^2 x3 -> (5, (0, 0, 2))."""
+        return [(c, tuple(i for i, x in enumerate(e) for _ in range(x)))
+                for e, c in self.terms.items()]
+
     def partial(self, i):
         """Partial derivative with respect to variable i (1-based)."""
         out = {}

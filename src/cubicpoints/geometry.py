@@ -16,9 +16,11 @@ from .finitefield import (
     _TABLE_CAP,
     count_affine_zeros,
     count_zeros_system,
+    is_prime,
     projective_from_affine,
 )
 from .generic import Poly
+from .residues import eval_mod_vec, residue_chunks
 
 
 @dataclass(frozen=True)
@@ -113,22 +115,23 @@ def section_smooth(g0, v, p, budget=DEFAULT_POINT_BUDGET):
     2 x (n) Jacobian [grad g0(x); v] to have rank 2 at each non-zero point.
     """
     n = g0.n
+    if not is_prime(p):
+        raise InputError(f"{p} is not prime")
     v = [int(x) % p for x in v]
     if all(x == 0 for x in v):
         raise InputError("v must be non-zero modulo p")
     if p**n > budget:
         raise BudgetExceededError(p**n, budget, "section smoothness scan")
-    fld = ExtField(p, 1)
     f = g0.to_generic()
     lin = Poly(n, {tuple(1 if i == k else 0 for i in range(n)): v[k] for k in range(n)})
     grads = f.gradient_polys()
-    for X in fld.point_chunks(n):
-        mask = (fld.eval_poly_vec(f, X) == 0) & (fld.eval_poly_vec(lin, X) == 0)
+    for X in residue_chunks(p, n, dtype=np.int32):
+        mask = (eval_mod_vec(f, X, p) == 0) & (eval_mod_vec(lin, X, p) == 0)
         mask &= ~np.all(X == 0, axis=1)
         if not mask.any():
             continue
         pts = X[np.flatnonzero(mask)]
-        gvals = np.stack([fld.eval_poly_vec(g, pts) for g in grads])  # (n, N)
+        gvals = np.stack([eval_mod_vec(g, pts, p) for g in grads])  # (n, N)
         ok = np.zeros(pts.shape[0], dtype=bool)
         for i in range(n):
             for j in range(i + 1, n):
@@ -144,15 +147,14 @@ def fiber_counts(F, G, fld, budget=DEFAULT_POINT_BUDGET):
 
     Returns a map from element index of tau to the count.
     """
-    F = F if isinstance(F, Poly) else F.to_generic()
-    G = G if isinstance(G, Poly) else G.to_generic()
+    F, G = F.to_generic(), G.to_generic()
     if F.n != G.n:
         raise InputError("F and G must share the variable count")
     m = F.n
     if fld.q**m > budget:
         raise BudgetExceededError(fld.q**m, budget, "fiber enumeration")
     hist = np.zeros(fld.q, dtype=np.int64)
-    for X in fld.point_chunks(m):
+    for X in residue_chunks(fld.q, m, dtype=np.int32):
         if G.is_zero():
             vals = fld.eval_poly_vec(F, X)
         else:
@@ -176,7 +178,7 @@ def fiber_square_deviation(counts, fld, reference):
 
 def deligne_defect(F, p, j, s, budget=DEFAULT_POINT_BUDGET):
     """|count - q^{m-1}| / q^{(m+1+s)/2} for a form F of degree coprime to p."""
-    f = F if isinstance(F, Poly) else F.to_generic()
+    f = F.to_generic()
     if not f.is_homogeneous() or f.is_zero():
         raise InputError("F must be a non-zero form")
     d = f.degree()

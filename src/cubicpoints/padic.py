@@ -13,10 +13,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceededError, InputError, NonLiftableError
-from .expsums import eval_mod_vec, residue_chunks
-from .finitefield import ExtField, count_affine_zeros, is_prime, primes_upto
+from .finitefield import count_separable, is_prime, primes_upto
 from .generic import Poly
-from .polynomials import CubicPolynomial
+from .residues import eval_mod_vec, residue_chunks, zero_count
 
 DEFAULT_ENUM_BUDGET = 2_000_000
 DEFAULT_BRANCH_BUDGET = 200_000
@@ -130,58 +129,51 @@ def hensel_lift(g, w, target_k):
                         w.grad_val, w.grad_prime_val)
 
 
-def _zeros_mod_p(g, p, budget):
-    """All zeros of g mod p as an int64 array, or None if p^n exceeds the budget."""
-    n = g.n
-    if p**n > budget:
-        return None
-    out = []
-    for X in residue_chunks(p, n):
-        vals = eval_mod_vec(g, X, p)
-        out.append(X[vals == 0])
-    return np.concatenate(out) if out else np.empty((0, n), dtype=np.int64)
+def _zeros_mod_p(g, p):
+    """All zeros of g mod p as an int64 array of rows, in lexicographic order."""
+    return np.concatenate([X[eval_mod_vec(g, X, p) == 0] for X in residue_chunks(p, g.n)])
 
 
-def _grad_vals_mod_p(g, Z, p):
-    """Boolean mask of rows of Z where the gradient is non-zero mod p."""
-    n = g.n
-    nonsing = np.zeros(Z.shape[0], dtype=bool)
+def _nonsingular_mask(g, Z, p):
+    """Boolean mask of rows of Z where the gradient of g is non-zero mod p."""
     gen = g.to_generic()
-    for i in range(1, n + 1):
-        d = gen.partial(i)
-        acc = np.zeros(Z.shape[0], dtype=np.int64)
-        for e, c in d.terms.items():
-            term = np.full(Z.shape[0], c % p, dtype=np.int64)
-            for a, ea in enumerate(e):
-                for _ in range(ea):
-                    term = term * Z[:, a] % p
-            acc = (acc + term) % p
-        nonsing |= acc != 0
-    return nonsing
+    mask = np.zeros(Z.shape[0], dtype=bool)
+    for d in gen.gradient_polys():
+        mask |= eval_mod_vec(d, Z, p) != 0
+    return mask
 
 
-def _line_search(g, p, seed, trials=_LINE_TRIALS):
-    """Randomized search for a nonsingular zero mod p when p^n is unenumerable.
+def _nonsingular_witness(g, Z, p):
+    """Precision-1 witness at the first row of Z that is a non-singular zero, or None."""
+    ok = _nonsingular_mask(g, Z, p)
+    if not ok.any():
+        return None
+    return PAdicWitness(p, 1, tuple(int(c) for c in Z[np.flatnonzero(ok)[0]]), 0)
 
-    Varies x_1 over a full residue system on seeded random lines; deterministic
-    for a fixed seed.  Can only ever answer FOUND or UNKNOWN.
+
+def _line_zeros(g, p, seed, tag):
+    """Zeros of g mod p on seeded random lines, one array per line.
+
+    Each line varies x_1 over a full residue system with the other
+    coordinates fixed at random; deterministic for a fixed (seed, tag).
+    Used when p^n is too large to enumerate.
     """
-    rng = np.random.default_rng((seed, p, 0x5EED))
+    rng = np.random.default_rng((seed, p, tag))
     n = g.n
-    for _ in range(trials):
+    for _ in range(_LINE_TRIALS):
         tail = rng.integers(0, p, size=n - 1)
         X = np.empty((p, n), dtype=np.int64)
         X[:, 0] = np.arange(p)
         X[:, 1:] = tail[None, :]
-        vals = eval_mod_vec(g, X, p)
-        Z = X[vals == 0]
-        if Z.shape[0] == 0:
-            continue
-        ok = _grad_vals_mod_p(g, Z, p)
-        if ok.any():
-            x = tuple(int(c) for c in Z[np.flatnonzero(ok)[0]])
-            return PAdicWitness(p, 1, x, 0)
-    return None
+        yield X[eval_mod_vec(g, X, p) == 0]
+
+
+def _lift_digit(g, Z, p, k):
+    """Zeros of g mod p^{k+1} among the lifts z + p^k d of the rows z of Z."""
+    n = Z.shape[1]
+    D = next(residue_chunks(p, n, chunk=p**n))
+    cand = (Z[:, None, :] + p**k * D[None, :, :]).reshape(-1, n)
+    return cand[eval_mod_vec(g, cand, p ** (k + 1)) == 0]
 
 
 def nonsingular_zero_search(g, p, kmax, budget=DEFAULT_ENUM_BUDGET,
@@ -195,26 +187,23 @@ def nonsingular_zero_search(g, p, kmax, budget=DEFAULT_ENUM_BUDGET,
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
     n = g.n
-    Z = _zeros_mod_p(g, p, budget)
-    if Z is None:
-        w = _line_search(g, p, seed)
-        if w is not None:
-            return SearchResult("FOUND", witness=w)
+    if p**n > budget:
+        for Z in _line_zeros(g, p, seed, 0x5EED):
+            w = _nonsingular_witness(g, Z, p)
+            if w is not None:
+                return SearchResult("FOUND", witness=w)
         return SearchResult("UNKNOWN", detail="enumeration over budget; line search found no nonsingular zero")
+    Z = _zeros_mod_p(g, p)
     if Z.shape[0] == 0:
         return SearchResult("FAILS", fail_k=1, detail=f"no zeros mod {p}")
-    ok = _grad_vals_mod_p(g, Z, p)
-    if ok.any():
-        x = tuple(int(c) for c in Z[np.flatnonzero(ok)[0]])
-        return SearchResult("FOUND", witness=PAdicWitness(p, 1, x, 0))
+    w = _nonsingular_witness(g, Z, p)
+    if w is not None:
+        return SearchResult("FOUND", witness=w)
     # all residues singular mod p: deepen digit by digit
     for k in range(1, kmax):
-        q_next = p ** (k + 1)
         if Z.shape[0] * p**n > branch_budget:
             return SearchResult("UNKNOWN", detail=f"branching over budget at precision {k}")
-        D = next(residue_chunks(p, n, chunk=p**n))
-        cand = (Z[:, None, :] + p**k * D[None, :, :]).reshape(-1, n)
-        cand = cand[eval_mod_vec(g, cand, q_next) == 0]
+        cand = _lift_digit(g, Z, p, k)
         if cand.shape[0] == 0:
             return SearchResult("FAILS", fail_k=k + 1,
                                 detail=f"no zeros mod {p}^{k + 1}")
@@ -263,7 +252,7 @@ def count_zeros_mod_pk(g, p, k, budget=DEFAULT_ENUM_BUDGET, _depth=0):
     p^{(k-1)(n-1)} lifts) and singular ones, handled by the exact
     substitution x = x0 + p y and division by p^2.
     """
-    gen = g.to_generic() if isinstance(g, CubicPolynomial) else g
+    gen = g.to_generic()
     n = gen.n
     if k <= 0:
         return 1
@@ -278,63 +267,13 @@ def count_zeros_mod_pk(g, p, k, budget=DEFAULT_ENUM_BUDGET, _depth=0):
         reduced = Poly(n, {e: c // p**content_val for e, c in gen.terms.items()})
         return p ** (n * content_val) * count_zeros_mod_pk(reduced, p, k - content_val, budget)
     if p ** (k * n) <= min(budget, 1 << 22):
-        return _count_direct(gen, p, k)
+        return zero_count(gen, residue_chunks(p**k, n), p**k)
     if gen.is_separable() and p**n > budget:
-        return _count_separable_mod_pk(gen, p, k, budget)
+        q = p**k
+        if q * q > 10**9:  # convolution work is q^2 per variable
+            raise BudgetExceededError(q * q, 10**9, "histogram convolution")
+        return count_separable(gen, q)
     return _count_recursive(gen, p, k, budget, _depth)
-
-
-def _count_direct(gen, p, k):
-    q = p**k
-    total = 0
-    for X in residue_chunks(q, gen.n):
-        total += int(np.count_nonzero(_eval_generic_mod(gen, X, q) == 0))
-    return total
-
-
-def _eval_generic_mod(gen, X, q):
-    acc = np.zeros(X.shape[0], dtype=np.int64)
-    for e, c in gen.terms.items():
-        term = np.full(X.shape[0], c % q, dtype=np.int64)
-        for a, ea in enumerate(e):
-            for _ in range(ea):
-                term = term * X[:, a] % q
-        acc = (acc + term) % q
-    return acc
-
-
-def _count_separable_mod_pk(gen, p, k, budget):
-    """Value-histogram convolution over Z/p^k for sums of univariate pieces."""
-    q = p**k
-    const, per_var = gen.single_variable_pieces()
-    if q * q > 10**9:  # convolution work is q^2 per variable
-        raise BudgetExceededError(q * q, 10**9, "histogram convolution")
-    x = np.arange(q, dtype=np.int64)
-    hist = None
-    unused = 0
-    for cmap in per_var:
-        if not cmap:
-            unused += 1
-            continue
-        acc = np.zeros(q, dtype=np.int64)
-        for d, c in cmap.items():
-            term = np.full(q, c % q, dtype=np.int64)
-            for _ in range(d):
-                term = term * x % q
-            acc = (acc + term) % q
-        h = np.bincount(acc, minlength=q)
-        hist = h if hist is None else _cyclic_convolve(hist, h, q)
-    if hist is None:
-        return 0
-    return int(hist[(-const) % q]) * p ** (k * (gen.n - len([c for c in per_var if c])))
-
-
-def _cyclic_convolve(h1, h2, q):
-    out = np.zeros(q, dtype=np.int64)
-    for b in range(q):
-        if h2[b]:
-            out += np.roll(h1, b) * int(h2[b])
-    return out
 
 
 def _count_recursive(gen, p, k, budget, depth):
@@ -343,15 +282,12 @@ def _count_recursive(gen, p, k, budget, depth):
         raise BudgetExceededError(p**n, budget, "zero classification mod p")
     if depth > k:
         raise AssertionError("lifting recursion failed to terminate")
-    Z = _zeros_mod_p_generic(gen, p)
+    Z = _zeros_mod_p(gen, p)
     if Z.shape[0] == 0:
         return 0
     if k == 1:
         return Z.shape[0]
-    grads = [gen.partial(i) for i in range(1, n + 1)]
-    nonsing = np.zeros(Z.shape[0], dtype=bool)
-    for d in grads:
-        nonsing |= _eval_generic_mod(d, Z, p) != 0
+    nonsing = _nonsingular_mask(gen, Z, p)
     total = int(np.count_nonzero(nonsing)) * p ** ((k - 1) * (n - 1))
     for row in Z[~nonsing]:
         x0 = [int(c) for c in row]
@@ -363,13 +299,6 @@ def _count_recursive(gen, p, k, budget, depth):
         h = gen.shift_scale(x0, p).divide_exact(p**2)
         total += p**n * count_zeros_mod_pk(h, p, k - 2, budget, depth + 1)
     return total
-
-
-def _zeros_mod_p_generic(gen, p):
-    out = []
-    for X in residue_chunks(p, gen.n):
-        out.append(X[_eval_generic_mod(gen, X, p) == 0])
-    return np.concatenate(out)
 
 
 def local_density(g, p, k, budget=DEFAULT_ENUM_BUDGET):
@@ -393,21 +322,14 @@ def grad_prime_zero_search(h, p, kmax=4, budget=DEFAULT_ENUM_BUDGET, seed=0):
     h0keys = h.cubic
     if all(1 in key for key in h0keys):
         raise InputError("cubic part divisible by the sliced variable (reducible section)")
-    gen = h.to_generic()
-    Z = _zeros_mod_p(h, p, budget)
-    if Z is None:
+    if p**n > budget:
         # large p^n: random lines; nearly always a k=0 witness exists
-        rng = np.random.default_rng((seed, p, 0xACE))
-        for _ in range(_LINE_TRIALS):
-            tail = rng.integers(0, p, size=n - 1)
-            X = np.empty((p, n), dtype=np.int64)
-            X[:, 0] = np.arange(p)
-            X[:, 1:] = tail[None, :]
-            cand = X[eval_mod_vec(h, X, p) == 0]
+        for cand in _line_zeros(h, p, seed, 0xACE):
             w = _pick_grad_prime(h, cand, p, level=1)
             if w is not None:
                 return w
         raise BudgetExceededError(p**n, budget, "restricted-gradient witness search")
+    Z = _zeros_mod_p(h, p)
     level = 1
     while True:
         if Z.shape[0] == 0:
@@ -421,9 +343,7 @@ def grad_prime_zero_search(h, p, kmax=4, budget=DEFAULT_ENUM_BUDGET, seed=0):
         if Z.shape[0] * p**n > DEFAULT_BRANCH_BUDGET:
             raise BudgetExceededError(Z.shape[0] * p**n, DEFAULT_BRANCH_BUDGET,
                                       "restricted-gradient branching")
-        D = next(residue_chunks(p, n, chunk=p**n))
-        cand = (Z[:, None, :] + p**level * D[None, :, :]).reshape(-1, n)
-        Z = cand[eval_mod_vec(h, cand, p ** (level + 1)) == 0]
+        Z = _lift_digit(h, Z, p, level)
         level += 1
 
 

@@ -93,6 +93,15 @@ class CubicPolynomial:
             total += c * x[i - 1] * x[j - 1] * x[k - 1]
         return total
 
+    def monomials(self):
+        """(coefficient, 0-based column per factor) for each term: 5 x1^2 x3 -> (5, (0, 0, 2))."""
+        out = [(c, tuple(i - 1 for i in key)) for key, c in self.cubic.items()]
+        out += [(c, tuple(i - 1 for i in key)) for key, c in self.quad.items()]
+        out += [(c, (i,)) for i, c in enumerate(self.lin) if c]
+        if self.const:
+            out.append((self.const, ()))
+        return out
+
     def gradient(self, x):
         x = self._check_point(x)
         grad = list(self.lin)

@@ -1,0 +1,105 @@
+"""Kernels over Z/q shared by the exponential sums, the p-adic search, the
+singular series and the finite-field counts.
+
+Every polynomial, split-form `CubicPolynomial` or generic `Poly`, reaches
+these kernels through one monomial list: (coefficient, column indices) per
+term, with x_1^2 x_3 as columns (0, 0, 2).  Arithmetic is int64 whatever the
+dtype of the grid, so int32 index grids of finite fields evaluate exactly
+for every modulus below 2^31.
+"""
+
+from itertools import product
+
+import numpy as np
+
+from .generic import Poly
+
+_CHUNK = 1 << 20
+
+
+def residue_chunks(q, m, chunk=_CHUNK, dtype=np.int64):
+    """Yield arrays of shape (N, m) covering (Z/q)^m lexicographically."""
+    inner = m
+    while inner > 0 and q**inner > chunk:
+        inner -= 1
+    inner_count = q**inner
+    grid = np.empty((inner_count, m), dtype=dtype)
+    rem = np.arange(inner_count)
+    for i in range(inner - 1, -1, -1):
+        grid[:, m - inner + i] = rem % q
+        rem //= q
+    if inner == m:
+        yield grid
+        return
+    for outer in product(range(q), repeat=m - inner):
+        block = grid.copy()
+        for i, val in enumerate(outer):
+            block[:, i] = val
+        yield block
+
+
+def eval_mod_vec(g, X, q):
+    """g(X) mod q as int64 at the rows of X (entries in [0, q)).
+
+    g is a `CubicPolynomial` or a `Poly`.  Every term is reduced below q^2,
+    so the running sum is reduced only as often as int64 requires.
+    """
+    batch = max(1, 2**62 // (q * q))
+    acc = np.zeros(X.shape[0], dtype=np.int64)
+    for count, (c, cols) in enumerate(g.monomials(), 1):
+        c %= q
+        if not c:
+            continue
+        if cols:
+            term = X[:, cols[0]]
+            for col in cols[1:]:
+                term = np.multiply(term, X[:, col], dtype=np.int64)
+                term %= q
+            c = np.multiply(term, c, dtype=np.int64)
+        acc += c
+        if count % batch == 0:
+            acc %= q
+    return acc % q
+
+
+def zero_count(g, chunks, q):
+    """#{rows x of the chunks : g(x) = 0 mod q}."""
+    return sum(int(np.count_nonzero(eval_mod_vec(g, X, q) == 0)) for X in chunks)
+
+
+def drop_unused(polys, q):
+    """Restrict polynomials to the variables that matter mod q.
+
+    Returns (restricted Polys, kept 0-based variable indices).  Terms with a
+    coefficient divisible by q are left out, so every restricted polynomial
+    agrees with its original mod q, and a count over (Z/q)^n is the count
+    over the kept variables times q per dropped one.
+    """
+    kept = [[(c, cols) for c, cols in f.monomials() if c % q] for f in polys]
+    used = sorted({i for terms in kept for _, cols in terms for i in cols})
+    out = [Poly(len(used), {tuple(cols.count(i) for i in used): c for c, cols in terms})
+           for terms in kept]
+    return out, used
+
+
+def cyclic_convolve(h1, h2):
+    """Histogram of a + b mod q for independent a ~ h1, b ~ h2 (q = len(h1))."""
+    out = np.zeros(len(h1), dtype=np.int64)
+    for b in np.flatnonzero(h2):
+        out += np.roll(h1, b) * int(h2[b])
+    return out
+
+
+def valuation_histogram(g, chunks, p, e):
+    """hist[v] = #{rows x : min(val_p(g(x)), e) = v} over every chunk of rows."""
+    hist = np.zeros(e + 1, dtype=np.int64)
+    for X in chunks:
+        cur = eval_mod_vec(g, X, p**e)
+        v = np.zeros(cur.shape[0], dtype=np.int64)
+        for _ in range(e):
+            step = cur % p == 0
+            v += step
+            cur = np.where(step, cur // p, cur)
+        # g(x) = 0 mod p^e ends at exactly v = e, the cap
+        hist += np.bincount(v, minlength=e + 1)
+    return hist

@@ -18,9 +18,9 @@ import numpy as np
 
 from .arith import factorize, ramanujan_prime_power
 from .errors import AmbiguityError, BudgetExceededError, InputError
-from .expsums import eval_mod_vec, residue_chunks
 from .geometry import singular_locus_dim_Q
 from .padic import DEFAULT_ENUM_BUDGET, congruence_condition, count_zeros_mod_pk
+from .residues import residue_chunks, valuation_histogram
 
 _S0_ENUM_CAP = 2_000_000
 
@@ -30,16 +30,7 @@ def s0_at_zero(g, p, e, budget=DEFAULT_ENUM_BUDGET):
     n = g.n
     q = p**e
     if q**n <= min(budget, _S0_ENUM_CAP):
-        val_hist = np.zeros(e + 1, dtype=np.int64)
-        for Y in residue_chunks(q, n):
-            r = eval_mod_vec(g, Y, q)
-            v = np.zeros(r.shape[0], dtype=np.int64)
-            cur = r.copy()
-            for _ in range(e):
-                step = cur % p == 0
-                v += step
-                cur = np.where(step, cur // p, cur)
-            val_hist += np.bincount(v, minlength=e + 1)
+        val_hist = valuation_histogram(g, residue_chunks(q, n), p, e)
         return sum(int(val_hist[v]) * ramanujan_prime_power(p, e, 0 if v >= e else p**v)
                    for v in range(e + 1))
     big = count_zeros_mod_pk(g, p, e, budget)

@@ -191,7 +191,7 @@ def choose_c(h, pmax, kmax=4, budget=DEFAULT_ENUM_BUDGET, seed=0):
     hc = h.slice_at(c)
     for p, data in per_prime.items():
         if not _witness_transfers(hc, data):
-            raise AssertionError(f"slice witness failed to transfer at p={p}")
+            raise SearchFailureError(f"slice witness failed to transfer at p={p}")
     return c, per_prime
 
 

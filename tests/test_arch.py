@@ -5,11 +5,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import diag_cubic
-from cubicpoints.arch import (ArchContext, count_N, default_z_grid, find_x0,
-                              main_term_report, osc_integral_batch,
-                              osc_integral_I, singular_integral, weight)
+from cubicpoints.arch import (ArchContext, _integer_cubic_roots, count_N,
+                              default_z_grid, find_x0, main_term_report,
+                              osc_integral_batch, osc_integral_I,
+                              singular_integral, weight)
 from cubicpoints.errors import InputError
 from cubicpoints.polynomials import CubicPolynomial
 
@@ -121,3 +124,39 @@ def test_main_term_report_fields():
         assert rep.caveat  # n = 2 < 10
         assert rep.series_partial == pytest.approx(summary.reports[0].series_partial)
     assert np.isfinite(summary.growth_exponent)
+
+
+@st.composite
+def cubic_with_integer_roots(draw):
+    """(c0, c1, c2, c3) of k * prod (t - r), often with repeated r, and a window."""
+    coeffs = [draw(st.integers(-3, 3).filter(bool))]
+    pool = draw(st.lists(st.integers(-400, 400), min_size=1, max_size=2))
+    roots = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    for r in roots:
+        shifted = [0] + coeffs  # t * p(t)
+        coeffs = [a - r * b for a, b in zip(shifted, coeffs + [0])]
+    lo = min(roots) - draw(st.integers(-2, 10))
+    hi = max(roots) + draw(st.integers(-2, 10))
+    return tuple(coeffs + [0] * (4 - len(coeffs))), lo, hi
+
+
+@st.composite
+def random_cubic_and_window(draw):
+    coeffs = draw(st.tuples(*[st.integers(-60, 60)] * 4))
+    lo = draw(st.integers(-50, 50))
+    return coeffs, lo, lo + draw(st.integers(0, 60))
+
+
+@given(st.one_of(cubic_with_integer_roots(), random_cubic_and_window()))
+@settings(max_examples=400, deadline=None)
+def test_integer_cubic_roots_match_brute_force(case):
+    (c0, c1, c2, c3), lo, hi = case
+    brute = [t for t in range(lo, hi + 1) if c0 + c1 * t + c2 * t**2 + c3 * t**3 == 0]
+    assert _integer_cubic_roots((c0, c1, c2, c3), lo, hi) == brute
+
+
+def test_integer_cubic_roots_keep_repeated_roots():
+    # (t - 10)^2 (t - 11) and (t - 10^6)^3: double and triple roots
+    assert _integer_cubic_roots((-1100, 320, -31, 1), -50, 50) == [10, 11]
+    r = 10**6
+    assert _integer_cubic_roots((-r**3, 3 * r**2, -3 * r, 1), r - 5, r + 5) == [r]

@@ -141,3 +141,27 @@ def test_slice_produce_and_verify(tmp_path, seven_var_corpus, capsys):
 def test_negative_bounds_rejected(poly_file):
     path = poly_file(diag_cubic(2))
     assert run(["congruence", "-f", path, "--pmax", "-3"]) == 1
+
+
+def test_poisson_beyond_int64_is_input_error(poly_file, capsys):
+    g = CubicPolynomial.from_terms(2, {(3, 0): 1, (0, 3): 1, (1, 0): 10**18})
+    code = run(["poisson", "-f", poly_file(g), "-q", "5", "-u", "1", "-P", "8",
+                "--deterministic"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "int64" in captured.err
+
+
+def test_slice_witness_transfer_failure_exits_3(poly_file, capsys, monkeypatch):
+    import cubicpoints.slicing as slicing
+
+    monkeypatch.setattr(slicing, "_witness_transfers", lambda hc, data: False)
+    # x1^3 + x2^3 + x3^3 + x4 + 1: singular locus of the cubic part is a point
+    g = CubicPolynomial.from_terms(4, {(3, 0, 0, 0): 1, (0, 3, 0, 0): 1,
+                                       (0, 0, 3, 0): 1, (0, 0, 0, 1): 1,
+                                       (0, 0, 0, 0): 1})
+    code = run(["slice", "-f", poly_file(g), "--pmax", "20", "--kmax", "4",
+                "--deterministic"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert "failed to transfer" in out["error"]

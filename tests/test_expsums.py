@@ -9,9 +9,10 @@ from conftest import diag_cubic, random_cubic
 from cubicpoints.arith import euler_phi
 from cubicpoints.errors import BudgetExceededError, InputError
 from cubicpoints.expsums import (ExpSumSpec, M_split_identity_check,
-                                 box_sum_diagnostic, complete_sum, count_M,
-                                 crt_sum, expsum_auto, kernel_count, ntilde,
-                                 squarefull_parts, theta_p)
+                                 _eval_int_vec, box_sum_diagnostic,
+                                 complete_sum, count_M, crt_sum, expsum_auto,
+                                 kernel_count, ntilde, squarefull_parts,
+                                 theta_p)
 from cubicpoints.polynomials import CubicPolynomial
 
 
@@ -161,3 +162,10 @@ def test_box_sum_requires_square_full(mixed2):
         box_sum_diagnostic(mixed2, 1, 10, (0, 0), 2)
     rep = box_sum_diagnostic(mixed2, 1, 49, (0, 0), 2)
     assert rep.total <= rep.envelope
+
+
+def test_integer_evaluation_refuses_int64_wraparound():
+    g = CubicPolynomial.from_terms(1, {(3,): 10**12})
+    assert _eval_int_vec(g, np.array([[100], [-7]])).tolist() == [10**18, -343 * 10**12]
+    with pytest.raises(InputError):
+        _eval_int_vec(g, np.array([[3000]]))  # 2.7e22 would wrap to -6.0e18
