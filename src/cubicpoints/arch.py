@@ -18,7 +18,6 @@ from itertools import product
 import numpy as np
 
 from .errors import BudgetExceededError, InputError, SearchFailureError
-from .polynomials import CubicPolynomial, _second_partial
 
 DEFAULT_LATTICE_BUDGET = 20_000_000
 _TAIL = 1e-12  # relative Gaussian mass allowed outside the truncation radius
@@ -86,34 +85,14 @@ def weight(ctx, x):
     return float(ctx.weight_vec(np.asarray(x, dtype=float)[None, :])[0])
 
 
-def _real_hessian(g0, x):
-    cub = g0.as_cubic() if hasattr(g0, "as_cubic") else g0.cubic_part().as_cubic()
-    n = cub.n
-    H = np.zeros((n, n))
-    for key, c in cub.cubic.items():
-        for a in range(1, n + 1):
-            for b in range(a, n + 1):
-                val = _second_partial(key, c, a, b, list(x))
-                H[a - 1][b - 1] += val
-                if a != b:
-                    H[b - 1][a - 1] += val
-    return H
-
-
-def _real_eval(g0, x):
-    total = 0.0
-    cub = g0.cubic if hasattr(g0, "cubic") else g0
-    for (i, j, k), c in cub.items():
-        total += c * x[i - 1] * x[j - 1] * x[k - 1]
-    return total
-
-
 def find_x0(g0, P, seed=0, trials=500, rank_tol=1e-8):
     """A unit real point on g0 = 0 with Hessian rank >= n - 1, as a context.
 
     Searches random lines a + t b, solving the 1-variable cubic for t; the
     accepted point is re-verified (|g0(x0)| small, rank condition) before use.
+    Only the leading form of `g0` is used.
     """
+    g0 = g0.cubic_part()
     n = g0.n
     rng = np.random.default_rng((seed, 0xA12C))
     for _ in range(trials):
@@ -136,34 +115,23 @@ def find_x0(g0, P, seed=0, trials=500, rank_tol=1e-8):
             if nrm < 1e-8:
                 continue
             x = x / nrm
-            if abs(_real_eval(g0, x)) > 1e-10:
+            if abs(g0.eval(x)) > 1e-10:
                 # polish with one Newton step along the gradient
-                grad = _real_grad(g0, x)
+                grad = np.array(g0.gradient(x), dtype=float)
                 gn = np.dot(grad, grad)
                 if gn < 1e-12:
                     continue
-                x = x - _real_eval(g0, x) * grad / gn
+                x = x - g0.eval(x) * grad / gn
                 x = x / np.linalg.norm(x)
-            if abs(_real_eval(g0, x)) > 1e-10:
+            if abs(g0.eval(x)) > 1e-10:
                 continue
-            H = _real_hessian(g0, x)
+            H = np.array(g0.hessian(x).entries, dtype=float)
             sv = np.linalg.svd(H, compute_uv=False)
             rank = int(np.sum(sv > rank_tol * max(sv[0], 1e-30)))
             if rank >= n - 1:
                 return ArchContext.create(P, x, hessian_rank=rank)
     raise SearchFailureError(f"no real cone point with Hessian rank >= {n - 1} "
                              f"found in {trials} trials")
-
-
-def _real_grad(g0, x):
-    n = g0.n
-    grad = np.zeros(n)
-    for key, c in g0.cubic.items():
-        for m in set(key):
-            rest = list(key)
-            rest.remove(m)
-            grad[m - 1] += c * key.count(m) * x[rest[0] - 1] * x[rest[1] - 1]
-    return grad
 
 
 # -- weighted lattice count N(g; P) ----------------------------------------
@@ -436,7 +404,7 @@ def singular_integral(ctx, g, z_grid=None, samples=20000, seed=0, use_cubic_part
     grid floor contributes at most 2 * floor * pi^{n/2} P0^n, which is folded
     into the error bar.
     """
-    poly = g.cubic_part().as_cubic() if use_cubic_part else g
+    poly = g.cubic_part() if use_cubic_part else g
     n = poly.n
     grid = np.asarray(default_z_grid() if z_grid is None else z_grid, dtype=float)
     grid = np.sort(np.unique(np.abs(grid[grid != 0])))

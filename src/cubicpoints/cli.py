@@ -34,15 +34,18 @@ EXIT_BUDGET = 2
 EXIT_NEGATIVE = 3
 
 
-def _load_poly(path):
+def _load_json(path, what):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
-        raise InputError(f"polynomial file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"polynomial file is not valid JSON: {exc}")
-    return CubicPolynomial.from_json_dict(data)
+        raise InputError(f"{what} file not found: {path}")
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+        raise InputError(f"{what} file is not valid JSON: {exc}")
+
+
+def _load_poly(path):
+    return CubicPolynomial.from_json_dict(_load_json(path, "polynomial"))
 
 
 def _csv_ints(text):
@@ -70,10 +73,9 @@ def _emit_csv(rows, header):
 
 def _cmd_analyze(args, t0):
     g = _load_poly(args.poly)
-    g0 = g.cubic_part()
     warnings = []
     try:
-        s = singular_locus_dim_Q(g0.as_cubic())
+        s = singular_locus_dim_Q(g.cubic_part())
     except (AmbiguityError, BudgetExceededError):
         s = None
         warnings.append("singular-locus dimension is ambiguous at the probed primes")
@@ -145,13 +147,7 @@ def _cmd_congruence(args, t0):
 def _cmd_slice(args, t0):
     g = _load_poly(args.poly)
     if args.verify:
-        try:
-            with open(args.verify) as fh:
-                cert = SliceCertificate.from_json_dict(json.load(fh))
-        except FileNotFoundError:
-            raise InputError(f"certificate file not found: {args.verify}")
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise InputError(f"certificate file is malformed: {exc}")
+        cert = SliceCertificate.from_json_dict(_load_json(args.verify, "certificate"))
         res = verify_certificate(cert, g)
         _emit(res.to_json_dict(), args, t0)
         return EXIT_OK if res else EXIT_NEGATIVE
@@ -199,7 +195,7 @@ def _cmd_bounds(args, t0):
             v = tuple(int(x) for x in rng.integers(0, p, size=n))
             if all(x % p == 0 for x in v):
                 continue
-            if not section_smooth(g.cubic_part().as_cubic(), v, p):
+            if not section_smooth(g.cubic_part(), v, p):
                 continue
             val = abs(expsum_auto(ExpSumSpec(g, 0, p, v), args.budget).value)
             smooth_worst = max(smooth_worst, val / p ** ((n + 1) / 2))

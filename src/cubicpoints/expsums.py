@@ -273,9 +273,10 @@ def _ntilde_prime_vec(M1, basis, p, n):
         E = {}
         for a in range(n):
             for b in range(n):
-                acc = np.full(Hs.shape[0], M1[a][b], dtype=np.int64)
+                # pencil entries reduced mod p first: each int64 product stays below p^2
+                acc = np.full(Hs.shape[0], M1[a][b] % p, dtype=np.int64)
                 for i in range(n):
-                    acc += Hs[:, i] * basis[i][a][b]
+                    acc += Hs[:, i] * (basis[i][a][b] % p)
                 E[a, b] = acc % p
         if n == 1:
             rank = (E[0, 0] != 0).astype(np.int64)

@@ -180,15 +180,6 @@ class ExtField:
     def embed(self, c):
         return int(c) % self.p
 
-    def element_digits(self, idx):
-        """Coefficients (d_0, ..., d_{j-1}) of the element with this index."""
-        out = []
-        idx = int(idx)
-        for _ in range(self.j):
-            out.append(idx % self.p)
-            idx //= self.p
-        return tuple(out)
-
     def neg_idx(self, idx):
         if self.j == 1:
             if np.isscalar(idx) or np.ndim(idx) == 0:
@@ -288,13 +279,6 @@ def count_affine_zeros(F, field, budget=DEFAULT_POINT_BUDGET):
     if F.is_separable():
         return count_separable(F, field.q, field)
     return count_zeros_system([F], field, budget)
-
-
-def value_histogram_univariate(field, coeff_map):
-    """Histogram over F_q of sum_d c_d x^d as x runs over the field."""
-    piece = Poly(1, {(d,): c for d, c in coeff_map.items()})
-    x = np.arange(field.q, dtype=np.int32)[:, None]
-    return np.bincount(field.eval_poly_vec(piece, x), minlength=field.q).astype(np.int64)
 
 
 def additive_convolve(field, h1, h2):

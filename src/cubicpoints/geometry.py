@@ -1,10 +1,10 @@
-"""Hypersurface geometry over finite fields: singular loci, smoothness, fibers.
+"""Hypersurface geometry over finite fields: singular loci and smoothness.
 
 Dimension estimates are heuristic certificates over the tested fields only;
 every report records which (p, j) were actually checked.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from math import log
 
 import numpy as np
@@ -41,11 +41,6 @@ class LocusDimReport:
         }
 
 
-def _gradient_system(g0):
-    f = g0.to_generic()
-    return [g for g in f.gradient_polys()]
-
-
 def singular_locus_dim_mod_p(g0, p, jmax=3, budget=DEFAULT_POINT_BUDGET):
     """Estimate s_p(g0): the dimension of the singular locus of g0 = 0 over F_p.
 
@@ -54,7 +49,7 @@ def singular_locus_dim_mod_p(g0, p, jmax=3, budget=DEFAULT_POINT_BUDGET):
     tested extension had only the trivial zero.
     """
     n = g0.n
-    system = _gradient_system(g0)
+    system = g0.to_generic().gradient_polys()
     active_vars = len({v for f in system for v in f.variables_used()})
     counts, proj = {}, {}
     for j in range(1, jmax + 1):
@@ -140,40 +135,6 @@ def section_smooth(g0, v, p, budget=DEFAULT_POINT_BUDGET):
         if not ok.all():
             return False
     return True
-
-
-def fiber_counts(F, G, fld, budget=DEFAULT_POINT_BUDGET):
-    """Exact fiber counts #{x : G(x)=0, F(x)=tau} for every tau in F_{p^j}.
-
-    Returns a map from element index of tau to the count.
-    """
-    F, G = F.to_generic(), G.to_generic()
-    if F.n != G.n:
-        raise InputError("F and G must share the variable count")
-    m = F.n
-    if fld.q**m > budget:
-        raise BudgetExceededError(fld.q**m, budget, "fiber enumeration")
-    hist = np.zeros(fld.q, dtype=np.int64)
-    for X in residue_chunks(fld.q, m, dtype=np.int32):
-        if G.is_zero():
-            vals = fld.eval_poly_vec(F, X)
-        else:
-            mask = fld.eval_poly_vec(G, X) == 0
-            if not mask.any():
-                continue
-            vals = fld.eval_poly_vec(F, X[np.flatnonzero(mask)])
-        hist += np.bincount(vals, minlength=fld.q)
-    return {tau: int(hist[tau]) for tau in range(fld.q)}
-
-
-def katz_reference(fld, n):
-    """Reference fiber size (q - 1) q^{n-1} used in the square-deviation check."""
-    return (fld.q - 1) * fld.q ** (n - 1)
-
-
-def fiber_square_deviation(counts, fld, reference):
-    """Sum over tau of |N(tau) - reference|^2, including empty fibers."""
-    return sum((counts.get(tau, 0) - reference) ** 2 for tau in range(fld.q))
 
 
 def deligne_defect(F, p, j, s, budget=DEFAULT_POINT_BUDGET):

@@ -156,13 +156,6 @@ def xgcd(a, b):
     return a, x0, y0
 
 
-def invmod(a, m):
-    g, x, _ = xgcd(a % m, m)
-    if g != 1:
-        raise InputError(f"{a} is not invertible mod {m}")
-    return x % m
-
-
 def crt_pair(r1, m1, r2, m2):
     """Solve x = r1 (m1), x = r2 (m2) for coprime m1, m2."""
     g, u, v = xgcd(m1, m2)

@@ -7,7 +7,7 @@ precision, so a witness is a complete, replayable certificate of a
 non-singular p-adic zero.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np

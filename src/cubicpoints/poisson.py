@@ -13,8 +13,6 @@ identity to high accuracy; both sides are computed independently here.
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
 from .arch import osc_integral_batch
 from .errors import InputError
 from .expsums import DEFAULT_TERM_BUDGET, ExpSumSpec, complete_sum, su_qz

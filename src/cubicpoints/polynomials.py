@@ -6,16 +6,24 @@ A cubic polynomial in n variables is stored in split form
 
 with the cubic part keyed by sorted index triples (i <= j <= k, 1-based), the
 quadratic part by sorted pairs, the linear part as a coefficient vector.  All
-coefficients are arbitrary-precision integers.  Values are immutable after
-construction; every operation returns a new object.
+coefficients are arbitrary-precision integers.  A cubic form (the leading form
+g0, or a homogenization) is the same class with empty lower parts.  Values are
+immutable after construction; every operation returns a new object.
 """
 
 import json
-from fractions import Fraction
+import operator
 from itertools import product
 
 from .errors import DegenerateSliceError, InputError
 from .intlinalg import det_int
+
+
+def json_int(value, what):
+    """`value` if it is an integer (not a boolean), else InputError naming `what`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _sorted_key(key):
@@ -80,7 +88,10 @@ class CubicPolynomial:
     def _check_point(self, x):
         if len(x) != self.n:
             raise InputError(f"point has length {len(x)}, expected {self.n}")
-        return [int(v) for v in x]
+        try:
+            return [operator.index(v) for v in x]  # numpy ints become Python ints: no wraparound
+        except TypeError:  # a real point: its floats are kept, for evaluation in floats
+            return [v if isinstance(v, float) else operator.index(v) for v in x]
 
     def eval(self, x):
         x = self._check_point(x)
@@ -142,14 +153,8 @@ class CubicPolynomial:
     # -- structure ---------------------------------------------------------
 
     def cubic_part(self):
-        return HomogeneousCubic(self.n, self.cubic)
-
-    def symmetric_tensor(self, i, j, k):
-        """Tensor entry c_ijk with g0 = sum c_ijk x_i x_j x_k: monomial coefficient
-        divided by the number of distinct permutations of (i,j,k)."""
-        key = _sorted_key((i, j, k))
-        coeff = self.cubic.get(key, 0)
-        return Fraction(coeff, _n_perms(key))
+        """The leading form g0, as a cubic with empty lower parts."""
+        return CubicPolynomial(self.n, self.cubic)
 
     def homogenize(self):
         """g~(z, x) := z^3 g(x/z), with the homogenizing variable first (index 1)."""
@@ -164,7 +169,7 @@ class CubicPolynomial:
                 cubic[key] = cubic.get(key, 0) + c
         if self.const:
             cubic[(1, 1, 1)] = cubic.get((1, 1, 1), 0) + self.const
-        return HomogeneousCubic(self.n + 1, cubic)
+        return CubicPolynomial(self.n + 1, cubic)
 
     def transform(self, M):
         """Substitution r(y) = g(M y) for a unimodular integer matrix M."""
@@ -276,15 +281,26 @@ class CubicPolynomial:
 
     @classmethod
     def from_json_dict(cls, d):
-        n = int(d["n"])
-        seen = set()
+        """Parse {"n": n, "terms": [{"e": [e1, ..., en], "c": c}, ...]}.
+
+        n, every exponent and every coefficient must be a JSON integer (a
+        float or a boolean is refused, not truncated); any other shape raises
+        InputError.
+        """
+        if not isinstance(d, dict) or not isinstance(d.get("terms"), list):
+            raise InputError('a polynomial is an object with "n" and a "terms" list')
+        n = json_int(d.get("n"), "n")
         term_map = {}
         for t in d["terms"]:
-            e = tuple(int(x) for x in t["e"])
-            if e in seen:
+            if not isinstance(t, dict) or not isinstance(t.get("e"), list):
+                raise InputError('each term is an object with an "e" list and a "c"')
+            e = tuple(json_int(x, "an exponent") for x in t["e"])
+            if e in term_map:
                 raise InputError(f"duplicate exponent vector {e}")
-            seen.add(e)
-            term_map[e] = int(t["c"])
+            term_map[e] = json_int(t.get("c"), "a coefficient")
+        # checked before from_terms allocates n entries: n is as large as the input
+        if {len(e) for e in term_map} != {n}:
+            raise InputError(f"needs at least one term, each exponent vector of length n = {n}")
         return cls.from_terms(n, term_map)
 
     @classmethod
@@ -297,54 +313,9 @@ class CubicPolynomial:
         return Poly(self.n, dict(self.terms()))
 
 
-class HomogeneousCubic:
-    """Homogeneous cubic form: n and a cubic coefficient map only."""
-
-    __slots__ = ("n", "cubic")
-
-    def __init__(self, n, cubic):
-        n = int(n)
-        cubic = _clean({_sorted_key(k): int(v) for k, v in dict(cubic).items()})
-        for key in cubic:
-            if len(key) != 3 or not all(1 <= i <= n for i in key):
-                raise InputError(f"bad cubic key {key}")
-        if not cubic:
-            raise InputError("zero form is not a cubic")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "cubic", cubic)
-
-    def __setattr__(self, *a):
-        raise AttributeError("HomogeneousCubic is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HomogeneousCubic)
-            and self.n == other.n
-            and self.cubic == other.cubic
-        )
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self.cubic.items()))))
-
-    def __repr__(self):
-        return f"HomogeneousCubic(n={self.n}, {len(self.cubic)} terms)"
-
-    def as_cubic(self):
-        return CubicPolynomial(self.n, self.cubic)
-
-    def eval(self, x):
-        return self.as_cubic().eval(x)
-
-    def gradient(self, x):
-        return self.as_cubic().gradient(x)
-
-    def variables_used(self):
-        return sorted({i for key in self.cubic for i in key})
-
-    def to_generic(self):
-        from .generic import Poly
-
-        return Poly(self.n, {_key_to_exp(k, self.n): c for k, c in self.cubic.items()})
+# the leading form and the homogenization are CubicPolynomials with empty lower
+# parts; the old name of their class stays importable
+HomogeneousCubic = CubicPolynomial
 
 
 class HessianMatrix:
@@ -360,16 +331,6 @@ class HessianMatrix:
 
     def __setattr__(self, *a):
         raise AttributeError("HessianMatrix is immutable")
-
-
-def _n_perms(key):
-    """Number of distinct permutations of a sorted index triple."""
-    i, j, k = key
-    if i == j == k:
-        return 1
-    if i == j or j == k:
-        return 3
-    return 6
 
 
 def _second_partial(key, c, a, b, h):

@@ -138,7 +138,7 @@ def positivity_certificate(g, pmax, kmax=6, budget=DEFAULT_ENUM_BUDGET, seed=0):
                                  "a local factor vanishes (insoluble prime)",
                                  verdict.witnesses)
     try:
-        s_est = singular_locus_dim_Q(g.cubic_part().as_cubic())
+        s_est = singular_locus_dim_Q(g.cubic_part())
     except (AmbiguityError, BudgetExceededError, InputError):
         s_est = None
     if unknown:

@@ -11,12 +11,11 @@ emitted certificate carries everything needed to replay the claims.
 from dataclasses import dataclass
 
 from .errors import DegenerateSliceError, InputError, SearchFailureError
-from .finitefield import DEFAULT_POINT_BUDGET, ExtField, count_affine_zeros, count_zeros_system
-from .generic import Poly
+from .finitefield import DEFAULT_POINT_BUDGET, ExtField, count_affine_zeros
 from .geometry import singular_locus_dim_mod_p
 from .intlinalg import complete_unimodular, crt_list, det_int, inverse_unimodular, rank_int
 from .padic import DEFAULT_ENUM_BUDGET, PAdicWitness, _min_valuation, grad_prime_zero_search
-from .polynomials import CubicPolynomial, _key_to_exp
+from .polynomials import CubicPolynomial, json_int
 
 import numpy as np
 
@@ -41,9 +40,12 @@ class PrimeSliceData:
     @classmethod
     def from_json_dict(cls, d):
         w = d["witness"]
-        wit = PAdicWitness(w["p"], w["k"], tuple(w["x"]), w["grad_val"],
-                           w.get("grad_prime_val"))
-        return cls(d["p"], wit, d["k"], d["modulus"], d["z1"])
+        gpv = w.get("grad_prime_val")
+        wit = PAdicWitness(json_int(w["p"], "p"), json_int(w["k"], "k"), _ints(w["x"], "x"),
+                           json_int(w["grad_val"], "grad_val"),
+                           None if gpv is None else json_int(gpv, "grad_prime_val"))
+        return cls(json_int(d["p"], "p"), wit, json_int(d["k"], "k"),
+                   json_int(d["modulus"], "modulus"), json_int(d["z1"], "z1"))
 
 
 @dataclass(frozen=True)
@@ -71,31 +73,36 @@ class SliceCertificate:
 
     @classmethod
     def from_json_dict(cls, d):
-        return cls(
-            a=tuple(d["a"]),
-            M=tuple(tuple(r) for r in d["M"]),
-            c=int(d["c"]),
-            s_before=int(d["s_before"]),
-            s_after=int(d["s_after"]),
-            primes=tuple(d["primes"]),
-            per_prime={int(p): PrimeSliceData.from_json_dict(x)
-                       for p, x in d["per_prime"].items()},
-            result=CubicPolynomial.from_json_dict(d["result"]),
-        )
+        """Parse strictly: every number must be a JSON integer (not a float or a
+        boolean), and a missing field or a wrong shape raises InputError."""
+        try:
+            return cls(
+                a=_ints(d["a"], "a"),
+                M=_ints(d["M"], "M", row=True),
+                c=json_int(d["c"], "c"),
+                s_before=json_int(d["s_before"], "s_before"),
+                s_after=json_int(d["s_after"], "s_after"),
+                primes=_ints(d["primes"], "primes"),
+                per_prime={int(p): PrimeSliceData.from_json_dict(x)
+                           for p, x in d["per_prime"].items()},
+                result=CubicPolynomial.from_json_dict(d["result"]),
+            )
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise InputError(f"certificate is malformed: {exc}") from exc
 
 
-def _section_form(g0_cubic, M):
-    """H1 = cubic form of g0(M^{-1} y) with y_1 = 0, in n - 1 variables."""
-    Minv = inverse_unimodular(M)
-    h0 = g0_cubic.transform(Minv)
-    cubic = {}
-    for key, c in h0.cubic.items():
-        if 1 in key:
-            continue
-        cubic[tuple(i - 1 for i in key)] = c
-    if not cubic:
-        raise DegenerateSliceError("section has no cubic part")
-    return CubicPolynomial(g0_cubic.n - 1, cubic)
+def _ints(values, what, row=False):
+    """A JSON list of integers (of integer lists when `row`) as a tuple."""
+    if not isinstance(values, list):
+        raise InputError(f"{what} must be a list")
+    if row:
+        return tuple(_ints(r, what) for r in values)
+    return tuple(json_int(x, what) for x in values)
+
+
+def _section_form(g0, M):
+    """H1 = g0(M^{-1} y) at y_1 = 0, a form in n - 1 variables."""
+    return g0.transform(inverse_unimodular(M)).slice_at(0)
 
 
 def _essential_rank(form):
@@ -133,9 +140,9 @@ def find_good_hyperplane(g0, primes=DEFAULT_PRIMES, trials=200, seed=0,
     sampled prime, the dimension drop s -> s - 1 for the section form, plus
     non-degeneracy.  Deterministic for a fixed seed.
     """
-    g0c = g0.as_cubic() if hasattr(g0, "as_cubic") else g0.cubic_part().as_cubic()
-    n = g0c.n
-    s_by_p = {p: singular_locus_dim_mod_p(g0c, p, jmax=2, budget=budget).dim_estimate
+    g0 = g0.cubic_part()
+    n = g0.n
+    s_by_p = {p: singular_locus_dim_mod_p(g0, p, jmax=2, budget=budget).dim_estimate
               for p in primes}
     if all(s == -1 for s in s_by_p.values()):
         raise InputError("form is already non-singular at the sampled primes")
@@ -152,10 +159,10 @@ def find_good_hyperplane(g0, primes=DEFAULT_PRIMES, trials=200, seed=0,
         seen.add(a)
         try:
             M = complete_unimodular(list(a))
-            H1 = _section_form(g0c, M)
+            H1 = _section_form(g0, M)
         except (InputError, DegenerateSliceError):
             continue
-        if not _nondegenerate(H1, g0c):
+        if not _nondegenerate(H1, g0):
             continue
         ok = True
         for p in primes:
@@ -212,7 +219,7 @@ def slice_step(g, primes=DEFAULT_PRIMES, pmax=100, kmax=4, trials=200, seed=0,
     Distinct integer zeros of the result pull back to distinct zeros of g, so
     iterating the step preserves solution-finding.
     """
-    g0 = g.cubic_part().as_cubic()
+    g0 = g.cubic_part()
     s_before_by_p = {p: singular_locus_dim_mod_p(g0, p, jmax=2, budget=budget).dim_estimate
                      for p in primes}
     s_before = min(s_before_by_p.values())
@@ -225,8 +232,7 @@ def slice_step(g, primes=DEFAULT_PRIMES, pmax=100, kmax=4, trials=200, seed=0,
     c, per_prime = choose_c(h, pmax, kmax=kmax, seed=seed)
     hc = h.slice_at(c)
     s_after_by_p = {
-        p: singular_locus_dim_mod_p(hc.cubic_part().as_cubic(), p, jmax=2,
-                                    budget=budget).dim_estimate
+        p: singular_locus_dim_mod_p(hc.cubic_part(), p, jmax=2, budget=budget).dim_estimate
         for p in primes
     }
     s_after = min(s_after_by_p.values())
@@ -257,7 +263,7 @@ def verify_certificate(cert, g, budget=DEFAULT_POINT_BUDGET):
         reasons.append("a is not primitive")
     if det_int(M) != 1:
         reasons.append("det M is not 1")
-    if list(M[0]) != a:
+    if not M or M[0] != a:
         reasons.append("first row of M is not a")
     if reasons:
         return VerificationResult(False, tuple(reasons))
@@ -269,7 +275,10 @@ def verify_certificate(cert, g, budget=DEFAULT_POINT_BUDGET):
     if hc != cert.result:
         reasons.append("recorded result does not match the recomputed slice")
     for p, data in cert.per_prime.items():
-        if data.modulus != p ** (2 * data.k + 1):
+        # a prime is >= 2, so p^(2k+1) has more than 2k bits: a larger k cannot
+        # match, and is refused before the power is taken
+        if (p < 2 or not 0 <= 2 * data.k < data.modulus.bit_length()
+                or data.modulus != p ** (2 * data.k + 1)):
             reasons.append(f"modulus mismatch at p={p}")
             continue
         if cert.c % data.modulus != data.z1 % data.modulus:
@@ -283,10 +292,9 @@ def verify_certificate(cert, g, budget=DEFAULT_POINT_BUDGET):
         if not _witness_transfers(hc, data):
             reasons.append(f"witness does not transfer to the slice at p={p}")
     for p in cert.primes:
-        sb = singular_locus_dim_mod_p(g.cubic_part().as_cubic(), p, jmax=2,
+        sb = singular_locus_dim_mod_p(g.cubic_part(), p, jmax=2, budget=budget).dim_estimate
+        sa = singular_locus_dim_mod_p(cert.result.cubic_part(), p, jmax=2,
                                       budget=budget).dim_estimate
-        sa = singular_locus_dim_mod_p(cert.result.cubic_part().as_cubic(), p,
-                                      jmax=2, budget=budget).dim_estimate
         if sa != sb - 1:
             reasons.append(f"dimension drop fails at p={p}")
         if sb != cert.s_before:
@@ -315,32 +323,6 @@ def slice_count_identity(hc, p, budget=10**8):
     """Exact check of N = (N1 - N2)/(p - 1) by three independent counts."""
     fld = ExtField(p, 1)
     N = count_affine_zeros(hc.to_generic(), fld, budget)
-    H = hc.homogenize()
-    N1 = count_affine_zeros(H.to_generic(), fld, budget)
-    m = hc.n
-    H1 = Poly(m, {_key_to_exp(k, m): c for k, c in hc.cubic.items()})
-    N2 = count_affine_zeros(H1, fld, budget)
+    N1 = count_affine_zeros(hc.homogenize().to_generic(), fld, budget)
+    N2 = count_affine_zeros(hc.cubic_part().to_generic(), fld, budget)
     return SliceCountIdentity(p, N, N1, N2, N * (p - 1) == N1 - N2)
-
-
-@dataclass(frozen=True)
-class SingularBound:
-    p: int
-    S: int  # singular zeros of the slice mod p
-    S1: int  # zeros of the homogenized cone system mod p
-    ok: bool  # S (p - 1) <= S1
-
-    def to_json_dict(self):
-        return {"p": self.p, "S": self.S, "S1": self.S1, "ok": self.ok}
-
-
-def singular_solution_bound(hc, p, budget=10**8):
-    """S (p - 1) <= S1: singular zeros of the slice against the cone system."""
-    fld = ExtField(p, 1)
-    gen = hc.to_generic()
-    grads = gen.gradient_polys()
-    S = count_zeros_system([gen] + grads, fld, budget)
-    Hgen = hc.homogenize().to_generic()
-    sys1 = [Hgen] + [Hgen.partial(i) for i in range(2, hc.n + 2)]
-    S1 = count_zeros_system(sys1, fld, budget)
-    return SingularBound(p, S, S1, S * (p - 1) <= S1)

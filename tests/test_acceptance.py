@@ -107,7 +107,7 @@ def test_smooth_sections_keep_square_root_size_at_u0():
     rng = np.random.default_rng(4)
     for n in (3, 4):
         g = fermat_form(n)
-        g0 = g.cubic_part().as_cubic()
+        g0 = g.cubic_part()
         for p in PRIMES_31:
             checked = 0
             for _ in range(10):

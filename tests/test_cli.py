@@ -1,6 +1,11 @@
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import diag_cubic
 from cubicpoints.cli import run
@@ -165,3 +170,100 @@ def test_slice_witness_transfer_failure_exits_3(poly_file, capsys, monkeypatch):
     out = json.loads(capsys.readouterr().out)
     assert code == 3
     assert "failed to transfer" in out["error"]
+
+
+# -- the exit-code contract under malformed JSON input ----------------------
+
+_POLY = {"n": 2, "terms": [{"e": [3, 0], "c": 1}, {"e": [0, 3], "c": 2}]}
+# a certificate for diag_cubic(3), well typed, whose claims fail independently
+# in per_prime (modulus 7 is not 5^1) and in the recounts at the primes
+# (s_before = s_after = 0), so that no single mutation makes it verify
+_CERT = {
+    "a": [1, 0, 0], "M": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "c": 0,
+    "s_before": 0, "s_after": 0, "primes": [5],
+    "per_prime": {"5": {"p": 5, "k": 0, "modulus": 7, "z1": 0,
+                        "witness": {"p": 5, "k": 1, "x": [0, 0, 0], "grad_val": 0,
+                                    "grad_prime_val": 0}}},
+    "result": diag_cubic(2).to_json_dict(),
+}
+_DELETE = object()
+
+
+def _nodes(doc, path=()):
+    """(path, value) of every node of a JSON document, the root first."""
+    yield path, doc
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _nodes(value, path + (key,))
+
+
+def _with(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+def _wrong_type(value):
+    """JSON values of another type than `value`; a float or a bool is not an integer."""
+    options = [st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3)]
+    if not isinstance(value, list):
+        options.append(st.lists(st.integers(-2, 9), max_size=3))
+    if not isinstance(value, dict):
+        options.append(st.dictionaries(st.text(max_size=2), st.integers(-2, 9), max_size=2))
+    if isinstance(value, (list, dict)):
+        options.append(st.integers())
+    return st.one_of(options)
+
+
+@st.composite
+def _malformed(draw, base, any_int):
+    """File text: not JSON, or `base` with one node retyped or one key deleted;
+    with `any_int`, also an integer leaf set to any integer."""
+    kind = draw(st.sampled_from(["text", "retype", "delete"] + ["integer"] * any_int))
+    if kind == "text":
+        return draw(st.text(max_size=20))
+    nodes = list(_nodes(base))
+    if kind == "delete":
+        path = draw(st.sampled_from([p for p, _ in nodes if p and isinstance(p[-1], str)]))
+        return json.dumps(_with(base, path, _DELETE))
+    if kind == "integer":
+        path = draw(st.sampled_from([p for p, v in nodes if type(v) is int]))
+        return json.dumps(_with(base, path, draw(st.integers())))
+    path, value = draw(st.sampled_from(nodes))
+    return json.dumps(_with(base, path, draw(_wrong_type(value))))
+
+
+def _run_quietly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return run(argv), err.getvalue()
+
+
+@given(_malformed(_POLY, any_int=False))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_malformed_polynomial_json_is_an_input_error(tmp_path, text):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    code, err = _run_quietly(["expsum", "-f", str(path), "-q", "5", "--deterministic"])
+    assert code == 1 and err.startswith("input error:"), (text, err)
+
+
+@given(_malformed(_CERT, any_int=True))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_malformed_certificate_exits_with_a_documented_code(tmp_path, text):
+    g_path, cert_path = tmp_path / "g.json", tmp_path / "cert.json"
+    g_path.write_text(diag_cubic(3).to_json())
+    cert_path.write_text(text)
+    code, err = _run_quietly(["slice", "-f", str(g_path), "--verify", str(cert_path),
+                              "--deterministic"])
+    assert code in (1, 2, 3), (text, err)

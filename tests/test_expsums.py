@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import diag_cubic, random_cubic
 from cubicpoints.arith import euler_phi
@@ -119,6 +121,25 @@ def test_ntilde_against_brute_force(mixed2):
 
 def test_ntilde_multiplicative(mixed2):
     assert ntilde(mixed2, 35) == ntilde(mixed2, 5) * ntilde(mixed2, 7)
+
+
+def test_ntilde_reduces_the_pencil_before_int64_products():
+    # N~(p) depends on g mod p only: (10^18 + 2) x^3 + y^3 is 3 x^3 + y^3 mod 5
+    big = CubicPolynomial.from_terms(2, {(3, 0): 10**18 + 2, (0, 3): 1})
+    small = CubicPolynomial.from_terms(2, {(3, 0): 3, (0, 3): 1})
+    assert ntilde(big, 5) == ntilde(small, 5) == 81
+
+
+@given(st.integers(1, 3), st.sampled_from([5, 7, 11]), st.data())
+@settings(max_examples=30, deadline=None)
+def test_ntilde_depends_on_coefficients_mod_p_only(n, p, data):
+    monomials = [e for e in product(range(4), repeat=n) if sum(e) <= 3]
+    terms = data.draw(st.dictionaries(st.sampled_from(monomials), st.integers(-3, 3)))
+    terms[(3,) + (0,) * (n - 1)] = data.draw(st.integers(1, p - 1))
+    shifts = st.integers(-10**20, 10**20)
+    lifted = {e: c + p * data.draw(shifts) for e, c in terms.items()}
+    assert (ntilde(CubicPolynomial.from_terms(n, lifted), p)
+            == ntilde(CubicPolynomial.from_terms(n, terms), p))
 
 
 def test_ntilde_rejects_moduli_sharing_six(mixed2):

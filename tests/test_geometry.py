@@ -2,12 +2,8 @@ import pytest
 
 from conftest import diag_cubic
 from cubicpoints.errors import AmbiguityError, InputError
-from cubicpoints.finitefield import ExtField
-from cubicpoints.geometry import (deligne_defect, fiber_counts,
-                                  fiber_square_deviation, katz_reference,
-                                  section_smooth, singular_locus_dim_Q,
-                                  singular_locus_dim_mod_p)
-from cubicpoints.generic import Poly
+from cubicpoints.geometry import (deligne_defect, section_smooth,
+                                  singular_locus_dim_Q, singular_locus_dim_mod_p)
 from cubicpoints.polynomials import CubicPolynomial
 
 
@@ -60,38 +56,6 @@ def test_section_smooth_diagonal():
     assert not section_smooth(g0, (0, 1, 2), 7)
     # a coordinate plane meets the diagonal curve in 3 distinct points
     assert section_smooth(g0, (1, 0, 0), 7)
-
-
-def test_fiber_counts_and_deviation():
-    fld = ExtField(7, 1)
-    F = Poly(2, {(3, 0): 1, (0, 3): 1})
-    counts = fiber_counts(F, Poly.zero(2), fld)
-    assert sum(counts.values()) == 49
-    ref = katz_reference(fld, 2)
-    assert ref == 6 * 7
-    dev = fiber_square_deviation(counts, fld, ref)
-    assert dev >= 0
-
-
-def test_fiber_sums_reconstruct_complete_sum():
-    # variables (a, b, x): F = b + a x^3, G = ab - 1; summing e_p(tau) over
-    # the fibers of F on {G = 0} reproduces the complete sum for g = x^3,
-    # u = 1, v = 0
-    import cmath
-
-    from cubicpoints.expsums import ExpSumSpec, complete_sum
-    from cubicpoints.polynomials import CubicPolynomial
-
-    p = 5
-    fld = ExtField(p, 1)
-    F = Poly(3, {(0, 1, 0): 1, (1, 0, 3): 1})
-    G = Poly(3, {(1, 1, 0): 1, (0, 0, 0): -1})
-    counts = fiber_counts(F, G, fld)
-    via_fibers = sum(c * cmath.exp(2j * cmath.pi * tau / p)
-                     for tau, c in counts.items())
-    g = CubicPolynomial.from_terms(1, {(3,): 1})
-    direct = complete_sum(ExpSumSpec(g, 1, p, (0,))).value
-    assert abs(via_fibers - direct) < 1e-9
 
 
 def test_deligne_defect_smooth_fermat_small():

@@ -1,11 +1,14 @@
 import json
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import diag_cubic, random_cubic
 from cubicpoints.errors import DegenerateSliceError, InputError
-from cubicpoints.polynomials import CubicPolynomial, watson_polynomial
+from cubicpoints.polynomials import CubicPolynomial, _second_partial, watson_polynomial
 
 
 def brute_eval(g, x):
@@ -128,13 +131,104 @@ def test_json_rejects_duplicate_exponents():
         CubicPolynomial.from_json_dict(blob)
 
 
-def test_symmetric_tensor_is_symmetric(rng):
+@pytest.mark.parametrize("blob", [
+    {"n": 1, "terms": [{"e": [3], "c": 1.5}]},
+    {"n": 1, "terms": [{"e": [3], "c": True}]},
+    {"n": 1, "terms": [{"e": [3], "c": "x"}]},
+    {"n": 1, "terms": [{"e": [2.9], "c": 1}]},
+    {"n": 2.7, "terms": [{"e": [3, 0], "c": 1}]},
+    {"n": 1},
+    {"n": 1, "terms": [{"c": 1}]},
+    {"n": 1, "terms": [[3, 1]]},
+    {"n": 10**12, "terms": []},
+    [{"e": [3], "c": 1}],
+])
+def test_json_accepts_only_integers_in_the_documented_shape(blob):
+    with pytest.raises(InputError):
+        CubicPolynomial.from_json_dict(blob)
+
+
+def test_leading_form_and_homogenization_are_cubics_with_empty_lower_parts(rng):
     g = random_cubic(rng, 3)
-    for i in range(1, 4):
-        for j in range(1, 4):
-            for k in range(1, 4):
-                v = g.symmetric_tensor(i, j, k)
-                assert v == g.symmetric_tensor(j, i, k) == g.symmetric_tensor(k, j, i)
+    for form in (g.cubic_part(), g.homogenize()):
+        assert isinstance(form, CubicPolynomial)
+        assert not form.quad and not any(form.lin) and form.const == 0
+    assert g.cubic_part().cubic == g.cubic
+    assert g.cubic_part().cubic_part() == g.cubic_part()
+
+
+# Independent float oracles for the real-point path: plain loops over the
+# cubic part of a form, in its term order.
+
+def _real_eval(g0, x):
+    total = 0.0
+    for (i, j, k), c in g0.cubic.items():
+        total += c * x[i - 1] * x[j - 1] * x[k - 1]
+    return total
+
+
+def _real_grad(g0, x):
+    grad = np.zeros(g0.n)
+    for key, c in g0.cubic.items():
+        for m in set(key):
+            rest = list(key)
+            rest.remove(m)
+            grad[m - 1] += c * key.count(m) * x[rest[0] - 1] * x[rest[1] - 1]
+    return grad
+
+
+def _real_hessian(g0, x):
+    n = g0.n
+    H = np.zeros((n, n))
+    for key, c in g0.cubic.items():
+        for a in range(1, n + 1):
+            for b in range(a, n + 1):
+                val = _second_partial(key, c, a, b, list(x))
+                H[a - 1][b - 1] += val
+                if a != b:
+                    H[b - 1][a - 1] += val
+    return H
+
+
+@st.composite
+def form_and_point(draw):
+    """A random cubic form with coefficients of any size, and a real point."""
+    n = draw(st.integers(1, 5))
+    keys = list(combinations_with_replacement(range(1, n + 1), 3))
+    coeff = st.integers(-10**15, 10**15).filter(bool)
+    cubic = draw(st.dictionaries(st.sampled_from(keys), coeff, min_size=1, max_size=12))
+    real = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    x = draw(st.lists(real, min_size=n, max_size=n))
+    return CubicPolynomial(n, cubic), x
+
+
+@given(form_and_point())
+@settings(max_examples=200, deadline=None)
+def test_real_point_evaluation_matches_float_oracle_bit_for_bit(case):
+    g0, x = case
+    for point in (x, np.array(x)):  # lists of floats, and numpy rows as find_x0 passes
+        assert np.float64(g0.eval(point)).tobytes() == np.float64(_real_eval(g0, point)).tobytes()
+        grad = np.array(g0.gradient(point), dtype=float)
+        assert grad.tobytes() == _real_grad(g0, point).tobytes()
+        H = np.array(g0.hessian(point).entries, dtype=float)
+        assert H.tobytes() == _real_hessian(g0, point).tobytes()
+
+
+@given(form_and_point(), st.lists(st.integers(-10**6, 10**6), min_size=5, max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_numpy_integer_points_evaluate_exactly(case, ints):
+    g0, _ = case
+    g = CubicPolynomial(g0.n, {k: c + 10**12 for k, c in g0.cubic.items()},
+                        lin=[7] * g0.n, const=-3)
+    exact = ints[:g.n]
+    point = np.array(exact, dtype=np.int64)  # c x^3 reaches 10^30, far past int64
+    assert g.eval(point) == g.eval(exact) == brute_eval(g, exact)
+    assert type(g.eval(point)) is int
+    grad = g.gradient(point)
+    assert grad == g.gradient(exact) and all(type(v) is int for v in grad)
+    H = g.hessian(point)
+    assert H.entries == g.hessian(exact).entries
+    assert all(type(v) is int for row in H.entries for v in row)
 
 
 def test_watson_polynomial_closed_form(rng):

@@ -4,7 +4,7 @@ import pytest
 
 from cubicpoints.errors import SearchFailureError
 from cubicpoints.slicing import (SliceCertificate, find_good_hyperplane,
-                                 singular_solution_bound, slice_count_identity,
+                                 slice_count_identity,
                                  slice_step, verify_certificate)
 
 
@@ -70,12 +70,6 @@ def test_count_identity_exact(cert):
     rep = slice_count_identity(cert.result, 7)
     assert rep.ok
     assert rep.N * 6 == rep.N1 - rep.N2
-
-
-def test_singular_bound(cert):
-    rep = singular_solution_bound(cert.result, 7)
-    assert rep.ok
-    assert rep.S * 6 <= rep.S1
 
 
 def test_nonsingular_input_rejected():
