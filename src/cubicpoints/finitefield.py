@@ -117,6 +117,50 @@ def canonical_modulus(p, j):
     raise AssertionError("no irreducible polynomial found")  # cannot happen
 
 
+@lru_cache(maxsize=8)
+def _field_tables(p, j, modulus):
+    """Read-only (add, mul, square, cube, negation) tables of F_{p^j}.
+
+    Built once per field and shared by every `ExtField` of it: a singular-locus
+    probe constructs the same fields again and again.
+    """
+    q = p**j
+    idx = np.arange(q)
+    digits = np.empty((q, j), dtype=np.int64)
+    rem = idx.copy()
+    for i in range(j):
+        digits[:, i] = rem % p
+        rem //= p
+    # powers of t reduced mod the modulus, up to degree 2j-2
+    tp = {0: [1]}
+    cur = [1]
+    for m in range(1, 2 * j - 1):
+        cur = _polmulmod(cur, [0, 1], list(modulus), p)
+        tp[m] = cur
+    add = np.zeros((q, q), dtype=np.int64)
+    mul = np.zeros((q, q), dtype=np.int64)
+    for d in range(j):
+        add += ((digits[:, None, d] + digits[None, :, d]) % p) * p**d
+        w = np.zeros((j, j), dtype=np.int64)
+        for i in range(j):
+            for k in range(j):
+                poly = tp[i + k]
+                w[i, k] = poly[d] if d < len(poly) else 0
+        mul += ((digits @ w @ digits.T) % p) * p**d
+    add = add.astype(np.int32)
+    mul = mul.astype(np.int32)
+    pow2 = mul[idx, idx]
+    pow3 = mul[idx, pow2]
+    neg = np.zeros(q, dtype=np.int32)
+    neg_digits = (-digits) % p
+    for d in range(j):
+        neg += (neg_digits[:, d] * p**d).astype(np.int32)
+    tables = (add, mul, pow2, pow3, neg)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 class ExtField:
     """The canonical field F_{p^j} with table-backed vector arithmetic."""
 
@@ -136,44 +180,11 @@ class ExtField:
         if self.j > 1:
             if self.q > _TABLE_CAP:
                 raise BudgetExceededError(self.q, _TABLE_CAP, "extension field table size")
-            self._build_tables()
+            self._add, self._mul, self._pow2, self._pow3, self._neg = _field_tables(
+                self.p, self.j, self.modulus)
 
     def __repr__(self):
         return f"ExtField(p={self.p}, j={self.j})"
-
-    def _build_tables(self):
-        p, j, q = self.p, self.j, self.q
-        idx = np.arange(q)
-        digits = np.empty((q, j), dtype=np.int64)
-        rem = idx.copy()
-        for i in range(j):
-            digits[:, i] = rem % p
-            rem //= p
-        # powers of t reduced mod the modulus, up to degree 2j-2
-        tp = {0: [1]}
-        cur = [1]
-        for m in range(1, 2 * j - 1):
-            cur = _polmulmod(cur, [0, 1], list(self.modulus), p)
-            tp[m] = cur
-        add = np.zeros((q, q), dtype=np.int64)
-        mul = np.zeros((q, q), dtype=np.int64)
-        for d in range(j):
-            add += ((digits[:, None, d] + digits[None, :, d]) % p) * p**d
-            w = np.zeros((j, j), dtype=np.int64)
-            for i in range(j):
-                for k in range(j):
-                    poly = tp[i + k]
-                    w[i, k] = poly[d] if d < len(poly) else 0
-            mul += ((digits @ w @ digits.T) % p) * p**d
-        self._digits = digits
-        self._add = add.astype(np.int32)
-        self._mul = mul.astype(np.int32)
-        self._pow2 = self._mul[idx, idx].copy()
-        self._pow3 = self._mul[idx, self._pow2].copy()
-        self._neg = np.zeros(q, dtype=np.int32)
-        neg_digits = (-digits) % p
-        for d in range(j):
-            self._neg += (neg_digits[:, d] * p**d).astype(np.int32)
 
     # -- scalar helpers ---------------------------------------------------
 

@@ -20,6 +20,7 @@ from .residues import eval_mod_vec, residue_chunks, zero_count
 DEFAULT_ENUM_BUDGET = 2_000_000
 DEFAULT_BRANCH_BUDGET = 200_000
 _LINE_TRIALS = 64
+_SCAN_CHUNK = 1 << 14  # rows per chunk of the witness scans, which stop at the first witness
 
 
 @dataclass(frozen=True)
@@ -134,6 +135,22 @@ def _zeros_mod_p(g, p):
     return np.concatenate([X[eval_mod_vec(g, X, p) == 0] for X in residue_chunks(p, g.n)])
 
 
+def _scan_zeros(g, p, pick):
+    """Scan the zeros of g mod p chunk by chunk, in lexicographic order.
+
+    Returns (witness, None) as soon as `pick`, called on one chunk's zeros,
+    returns a witness; otherwise (None, every zero of g mod p in order).
+    """
+    seen = []
+    for X in residue_chunks(p, g.n, chunk=_SCAN_CHUNK):
+        Z = X[eval_mod_vec(g, X, p) == 0]
+        w = pick(Z)
+        if w is not None:
+            return w, None
+        seen.append(Z)
+    return None, np.concatenate(seen)
+
+
 def _nonsingular_mask(g, Z, p):
     """Boolean mask of rows of Z where the gradient of g is non-zero mod p."""
     gen = g.to_generic()
@@ -183,6 +200,13 @@ def nonsingular_zero_search(g, p, kmax, budget=DEFAULT_ENUM_BUDGET,
     FOUND: witness with margin k >= 2*grad_val + 1 (hence a p-adic zero).
     FAILS: no zero at all exists mod p^{fail_k} (full scan, replayable).
     UNKNOWN: zeros exist but all remain too singular within the budget.
+
+    When p^n fits the budget, the zeros mod p are scanned in lexicographic
+    order, about 2^14 residues at a time, and the scan stops at the first
+    chunk holding a non-singular zero: the witness is the lexicographically
+    first non-singular zero mod p.  Only when there is none does the search
+    hold every zero mod p, and it then deepens precision digit by digit,
+    taking the lexicographically first zero mod p^k that fits the margin.
     """
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
@@ -193,12 +217,11 @@ def nonsingular_zero_search(g, p, kmax, budget=DEFAULT_ENUM_BUDGET,
             if w is not None:
                 return SearchResult("FOUND", witness=w)
         return SearchResult("UNKNOWN", detail="enumeration over budget; line search found no nonsingular zero")
-    Z = _zeros_mod_p(g, p)
-    if Z.shape[0] == 0:
-        return SearchResult("FAILS", fail_k=1, detail=f"no zeros mod {p}")
-    w = _nonsingular_witness(g, Z, p)
+    w, Z = _scan_zeros(g, p, lambda Z: _nonsingular_witness(g, Z, p))
     if w is not None:
         return SearchResult("FOUND", witness=w)
+    if Z.shape[0] == 0:
+        return SearchResult("FAILS", fail_k=1, detail=f"no zeros mod {p}")
     # all residues singular mod p: deepen digit by digit
     for k in range(1, kmax):
         if Z.shape[0] * p**n > branch_budget:
@@ -315,6 +338,12 @@ def grad_prime_zero_search(h, p, kmax=4, budget=DEFAULT_ENUM_BUDGET, seed=0):
 
     k = grad_prime_val is minimized by breadth-first deepening; the overall
     gradient margin is tracked as well so the witness stays liftable.
+
+    When p^n fits the budget, the zeros mod p are scanned in lexicographic
+    order, about 2^14 residues at a time, and the scan stops at the first
+    chunk holding a zero with a partial 2..n non-zero mod p.  Only when there
+    is none does the search hold every zero mod p and lift them digit by
+    digit, taking at each precision the lexicographically first usable zero.
     """
     n = h.n
     if n < 2:
@@ -329,14 +358,11 @@ def grad_prime_zero_search(h, p, kmax=4, budget=DEFAULT_ENUM_BUDGET, seed=0):
             if w is not None:
                 return w
         raise BudgetExceededError(p**n, budget, "restricted-gradient witness search")
-    Z = _zeros_mod_p(h, p)
+    w, Z = _scan_zeros(h, p, lambda Z: _pick_grad_prime(h, Z, p, 1))
     level = 1
-    while True:
+    while w is None:
         if Z.shape[0] == 0:
             raise InputError(f"h has no zeros mod {p}^{level} (no p-adic zero exists)")
-        w = _pick_grad_prime(h, Z, p, level)
-        if w is not None:
-            return w
         if level > 2 * kmax + 1:
             raise BudgetExceededError(level, 2 * kmax + 1,
                                       "restricted-gradient precision deepening")
@@ -345,6 +371,8 @@ def grad_prime_zero_search(h, p, kmax=4, budget=DEFAULT_ENUM_BUDGET, seed=0):
                                       "restricted-gradient branching")
         Z = _lift_digit(h, Z, p, level)
         level += 1
+        w = _pick_grad_prime(h, Z, p, level)
+    return w
 
 
 def _pick_grad_prime(h, cand, p, level):

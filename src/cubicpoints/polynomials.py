@@ -252,7 +252,23 @@ class CubicPolynomial:
             yield (0,) * self.n, self.const
 
     def to_json_dict(self):
-        return {"n": self.n, "terms": [{"e": list(e), "c": c} for e, c in self.terms()]}
+        """The terms in the order of `terms()`, each exponent list built from its key."""
+        n = self.n
+        terms = []
+        for part in (self.cubic, self.quad):
+            for key in sorted(part):
+                e = [0] * n
+                for i in key:
+                    e[i - 1] += 1
+                terms.append({"e": e, "c": part[key]})
+        for i, c in enumerate(self.lin):
+            if c:
+                e = [0] * n
+                e[i] = 1
+                terms.append({"e": e, "c": c})
+        if self.const:
+            terms.append({"e": [0] * n, "c": self.const})
+        return {"n": n, "terms": terms}
 
     def to_json(self):
         return json.dumps(self.to_json_dict())

@@ -284,6 +284,9 @@ def verify_certificate(cert, g, budget=DEFAULT_POINT_BUDGET):
         if cert.c % data.modulus != data.z1 % data.modulus:
             reasons.append(f"congruence for c broken at p={p}")
         w = data.witness
+        if len(w.x) != h.n:
+            reasons.append(f"witness has the wrong length at p={p}")
+            continue
         if h.eval(w.x) % data.modulus != 0:
             reasons.append(f"witness is not a zero of h at p={p}")
         gp = _min_valuation(h.gradient(w.x)[1:], p, cap=data.k + 1)

@@ -14,17 +14,23 @@ def diag_cubic(n, const=0, coeffs=None):
 
 
 def random_cubic(rng, n, span=3):
-    """Random dense cubic polynomial with coefficients in [-span, span]."""
+    """Random dense cubic polynomial with coefficients in [-span, span].
+
+    Draws again while every cubic coefficient is 0, so the result has degree 3;
+    a first draw with a cubic term is kept, so a fixed seed keeps its cubic.
+    """
     from itertools import combinations_with_replacement
 
-    terms = {}
-    for deg in range(4):
-        for idx in combinations_with_replacement(range(n), deg):
-            e = [0] * n
-            for i in idx:
-                e[i] += 1
-            terms[tuple(e)] = int(rng.integers(-span, span + 1))
-    return CubicPolynomial.from_terms(n, terms)
+    while True:
+        terms = {}
+        for deg in range(4):
+            for idx in combinations_with_replacement(range(n), deg):
+                e = [0] * n
+                for i in idx:
+                    e[i] += 1
+                terms[tuple(e)] = int(rng.integers(-span, span + 1))
+        if any(c for e, c in terms.items() if sum(e) == 3):
+            return CubicPolynomial.from_terms(n, terms)
 
 
 @pytest.fixture

@@ -267,3 +267,15 @@ def test_malformed_certificate_exits_with_a_documented_code(tmp_path, text):
     code, err = _run_quietly(["slice", "-f", str(g_path), "--verify", str(cert_path),
                               "--deterministic"])
     assert code in (1, 2, 3), (text, err)
+
+
+def test_wrong_length_witness_is_a_failed_verdict(tmp_path, capsys):
+    cert = _with(_CERT, ("per_prime", "5", "modulus"), 5)
+    cert = _with(cert, ("per_prime", "5", "witness", "x"), [0, 0])
+    g_path, cert_path = tmp_path / "g.json", tmp_path / "cert.json"
+    g_path.write_text(diag_cubic(3).to_json())
+    cert_path.write_text(json.dumps(cert))
+    code = run(["slice", "-f", str(g_path), "--verify", str(cert_path), "--deterministic"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert "witness has the wrong length at p=5" in out["reasons"]
