@@ -23,6 +23,7 @@ DEFAULT_LATTICE_BUDGET = 20_000_000
 _TAIL = 1e-12  # relative Gaussian mass allowed outside the truncation radius
 _QUAD_MIN = 4096
 _QUAD_MAX = 1 << 20
+_BLOCK_ROWS_POINTS = 1 << 18  # grid points per row block of the tensor-grid integral
 
 
 @dataclass(frozen=True)
@@ -254,7 +255,7 @@ def osc_integral_I(ctx, g, z, beta, samples=20000, seed=0, method="auto"):
     rng = np.random.default_rng((seed, 0x05C1))
     c = ctx.center
     X = rng.normal(loc=c, scale=ctx.P0 / math.sqrt(2.0), size=(samples, n))
-    phase = z * _eval_real_poly(gen, X) + X @ np.asarray(beta)
+    phase = z * _eval_real_poly(gen, X.T) + X @ np.asarray(beta)
     vals = np.exp(2j * np.pi * phase)
     mean = vals.mean()
     var = np.mean(np.abs(vals - mean) ** 2)
@@ -262,13 +263,14 @@ def osc_integral_I(ctx, g, z, beta, samples=20000, seed=0, method="auto"):
     return complex(mass * mean), stderr
 
 
-def _eval_real_poly(gen, X):
-    acc = np.zeros(X.shape[0])
+def _eval_real_poly(gen, cols):
+    """g at the points whose coordinates are the broadcast of one array per variable."""
+    acc = np.zeros(np.broadcast_shapes(*(np.shape(x) for x in cols)))
     for e, c in gen.terms.items():
-        term = np.full(X.shape[0], float(c))
-        for i, ei in enumerate(e):
+        term = float(c)
+        for x, ei in zip(cols, e):
             if ei:
-                term = term * X[:, i] ** ei
+                term = term * x**ei
         acc += term
     return acc
 
@@ -309,8 +311,16 @@ def osc_integral_batch(ctx, g, z, betas, budget=DEFAULT_LATTICE_BUDGET):
     """Deterministic I(z; beta) for many betas sharing one evaluation grid.
 
     Separable polynomials factor through per-axis 1-D quadratures with the
-    distinct beta components cached; otherwise a full tensor midpoint grid is
-    contracted axis by axis (n <= 3).
+    distinct beta components cached.  Otherwise (n = 2, 3) the integrand F
+    lives on an m^n tensor midpoint grid that is never held whole: it is built
+    in blocks of about `_BLOCK_ROWS_POINTS` points along the first axis from
+    per-axis vectors that broadcast, and each block is contracted at once
+    against the phases of every distinct tail b[1:] into that tail's row of
+    m values; the first axis is contracted once per beta.  At z = 0 the factor
+    e(z g) is exactly 1 and is not computed.  Each row gets the floats of a
+    contraction of the whole grid: the Gaussian exponent is summed left to
+    right as `np.sum` does, and no block has a single row, which numpy would
+    hand to a dot kernel that sums in another order.
     """
     n = g.n
     betas = [tuple(float(x) for x in b) for b in betas]
@@ -329,6 +339,7 @@ def osc_integral_batch(ctx, g, z, betas, budget=DEFAULT_LATTICE_BUDGET):
                 val *= axis_cache[i][b[i]]
             out.append(val)
         return np.array(out)
+    # a polynomial in one variable is separable, so here n >= 2
     if n > 3:
         raise BudgetExceededError(n, 3, "tensor-grid oscillatory integral")
     bmax = max((max(abs(x) for x in b) for b in betas), default=0.0)
@@ -341,11 +352,8 @@ def osc_integral_batch(ctx, g, z, betas, budget=DEFAULT_LATTICE_BUDGET):
         m = int(budget ** (1 / n))
     axes = [c[i] - R + (np.arange(m) + 0.5) * (2 * R / m) for i in range(n)]
     h = 2 * R / m
-    grids = np.meshgrid(*axes, indexing="ij")
-    X = np.stack([grid.ravel() for grid in grids], axis=1)
-    F = (np.exp(-np.sum((X - c) ** 2, axis=1) / ctx.P0**2)
-         * np.exp(2j * np.pi * z * _eval_real_poly(gen, X))).reshape((m,) * n)
-    out = []
+    grid = np.ix_(*axes)
+    dist = np.ix_(*((axes[i] - c[i]) ** 2 for i in range(n)))
     phase_cache = {}
 
     def axis_phase(i, b):
@@ -353,20 +361,32 @@ def osc_integral_batch(ctx, g, z, betas, budget=DEFAULT_LATTICE_BUDGET):
             phase_cache[i, b] = np.exp(2j * np.pi * b * axes[i])
         return phase_cache[i, b]
 
-    contract_cache = {}
-    for b in betas:
-        if n == 1:
-            val = F @ axis_phase(0, b[0])
-        elif n == 2:
-            if b[1] not in contract_cache:
-                contract_cache[b[1]] = F @ axis_phase(1, b[1])
-            val = contract_cache[b[1]] @ axis_phase(0, b[0])
+    rows = {b[1:]: np.empty(m, dtype=complex) for b in betas}
+    by_last = {}
+    for tail in rows:
+        by_last.setdefault(tail[-1], []).append(tail)
+    for lo, hi in _row_blocks(m, max(2, _BLOCK_ROWS_POINTS // m ** (n - 1))):
+        d2 = dist[0][lo:hi]
+        for d in dist[1:]:
+            d2 = d2 + d
+        w = np.exp(-d2 / ctx.P0**2)
+        if z == 0:  # complex once here, not in every product below
+            F = w.astype(complex)
         else:
-            if b[1:] not in contract_cache:
-                contract_cache[b[1:]] = (F @ axis_phase(2, b[2])) @ axis_phase(1, b[1])
-            val = contract_cache[b[1:]] @ axis_phase(0, b[0])
-        out.append(complex(val * h**n))
-    return np.array(out)
+            F = w * np.exp(2j * np.pi * z * _eval_real_poly(gen, (grid[0][lo:hi],) + grid[1:]))
+        for b_last, tails in by_last.items():
+            T = F @ axis_phase(n - 1, b_last)
+            for tail in tails:
+                rows[tail][lo:hi] = T if n == 2 else T @ axis_phase(1, tail[0])
+    return np.array([complex(rows[b[1:]] @ axis_phase(0, b[0]) * h**n) for b in betas])
+
+
+def _row_blocks(m, k):
+    """Half-open blocks of k rows covering range(m); a lone last row joins the block before."""
+    starts = list(range(0, m, k))
+    if len(starts) > 1 and m - starts[-1] == 1:
+        starts.pop()
+    return zip(starts, starts[1:] + [m])
 
 
 def _grad_bound(gen, span):

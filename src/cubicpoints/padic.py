@@ -151,11 +151,11 @@ def _scan_zeros(g, p, pick):
     return None, np.concatenate(seen)
 
 
-def _nonsingular_mask(g, Z, p):
-    """Boolean mask of rows of Z where the gradient of g is non-zero mod p."""
+def _nonsingular_mask(g, Z, p, first=1):
+    """Boolean mask of rows of Z where a partial of g in x_first..x_n is non-zero mod p."""
     gen = g.to_generic()
     mask = np.zeros(Z.shape[0], dtype=bool)
-    for d in gen.gradient_polys():
+    for d in gen.gradient_polys()[first - 1:]:
         mask |= eval_mod_vec(d, Z, p) != 0
     return mask
 
@@ -379,8 +379,14 @@ def _pick_grad_prime(h, cand, p, level):
     """First candidate (lexicographically) usable at this precision level."""
     if cand.shape[0] == 0:
         return None
-    order = np.lexsort(cand.T[::-1])
-    for row in cand[order]:
+    cand = cand[np.lexsort(cand.T[::-1])]
+    if level == 1:  # usable iff a partial 2..n is non-zero mod p
+        ok = _nonsingular_mask(h, cand, p, first=2)
+        if not ok.any():
+            return None
+        x = tuple(int(c) for c in cand[np.flatnonzero(ok)[0]])
+        return PAdicWitness(p, 1, x, 0, grad_prime_val=0)
+    for row in cand:
         x = [int(c) for c in row]
         grad = h.gradient(x)
         kp = _min_valuation(grad[1:], p, cap=level)

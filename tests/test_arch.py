@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import diag_cubic
-from cubicpoints.arch import (ArchContext, _integer_cubic_roots, count_N,
+from cubicpoints.arch import (_BLOCK_ROWS_POINTS, ArchContext, _grad_bound,
+                              _integer_cubic_roots, _quad_points, count_N,
                               default_z_grid, find_x0, main_term_report,
                               osc_integral_batch, osc_integral_I,
                               singular_integral, weight)
@@ -160,3 +162,96 @@ def test_integer_cubic_roots_keep_repeated_roots():
     assert _integer_cubic_roots((-1100, 320, -31, 1), -50, 50) == [10, 11]
     r = 10**6
     assert _integer_cubic_roots((-r**3, 3 * r**2, -3 * r, 1), r - 5, r + 5) == [r]
+
+
+# -- the tensor-grid branch of osc_integral_batch (non-separable g) ----------
+
+
+def _full_grid_batch(ctx, g, z, betas, budget):
+    """The tensor-grid integral with the whole m^n grid held at once (reference)."""
+    n = g.n
+    betas = [tuple(float(x) for x in b) for b in betas]
+    gen = g.to_generic()
+    bmax = max((max(abs(x) for x in b) for b in betas), default=0.0)
+    R = ctx.truncation_radius
+    c = ctx.center
+    m = _quad_points(R, abs(z) * _grad_bound(gen, float(np.max(np.abs(c)) + R)) + bmax)
+    if m**n > budget:
+        m = int(budget ** (1 / n))
+    axes = [c[i] - R + (np.arange(m) + 0.5) * (2 * R / m) for i in range(n)]
+    h = 2 * R / m
+    X = np.stack([grid.ravel() for grid in np.meshgrid(*axes, indexing="ij")], axis=1)
+    poly = np.zeros(X.shape[0])
+    for e, coef in gen.terms.items():
+        term = np.full(X.shape[0], float(coef))
+        for i, ei in enumerate(e):
+            if ei:
+                term = term * X[:, i] ** ei
+        poly += term
+    F = (np.exp(-np.sum((X - c) ** 2, axis=1) / ctx.P0**2)
+         * np.exp(2j * np.pi * z * poly)).reshape((m,) * n)
+    out = []
+    for b in betas:
+        ph = [np.exp(2j * np.pi * b[i] * axes[i]) for i in range(n)]
+        if n == 2:
+            val = (F @ ph[1]) @ ph[0]
+        else:
+            val = ((F @ ph[2]) @ ph[1]) @ ph[0]
+        out.append(complex(val * h**n))
+    return np.array(out)
+
+
+def _grid_sizes_by_leftover(n, sizes):
+    """Grid sizes m with several row blocks, keyed by the rows left over after full blocks."""
+    out = {0: [], 1: [], "several": []}
+    for m in sizes:
+        k = max(2, _BLOCK_ROWS_POINTS // m ** (n - 1))
+        if m > k:
+            out[m % k if m % k < 2 else "several"].append(m)
+    return out
+
+
+_LEFTOVER_SIZES = {2: _grid_sizes_by_leftover(2, range(513, 1400)),
+                   3: _grid_sizes_by_leftover(3, range(40, 140))}
+
+
+@st.composite
+def tensor_grid_case(draw):
+    n = draw(st.sampled_from([2, 3]))
+    leftover = draw(st.sampled_from([0, 1, "several"]))
+    m = draw(st.sampled_from(_LEFTOVER_SIZES[n][leftover]))
+    coeff = st.integers(-3, 3)
+    terms = {e: draw(coeff) for e in product(range(4), repeat=n) if sum(e) <= 3}
+    terms[(2, 1) + (0,) * (n - 2)] = draw(coeff.filter(bool))  # cubic, not separable
+    x0 = draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n)
+              .filter(lambda v: max(map(abs, v)) > 0.1))
+    ctx = ArchContext.create(draw(st.floats(3.0, 40.0)), x0, on_cone=False)
+    frac = st.integers(-6, 6).map(lambda k: k / 3)
+    betas = draw(st.lists(st.tuples(*[frac] * n), min_size=1, max_size=4))
+    z = draw(st.sampled_from([0.0, 1e-4, -1e-4, 1e-3]))
+    # capped budget: every m here is below the 4096-point quadrature floor
+    return ctx, CubicPolynomial.from_terms(n, terms), z, betas, int((m + 0.5) ** n)
+
+
+@given(tensor_grid_case())
+@settings(max_examples=25, deadline=None)
+def test_tensor_grid_batch_matches_full_grid_bit_for_bit(case):
+    ctx, g, z, betas, budget = case
+    got = osc_integral_batch(ctx, g, z, betas, budget=budget)
+    assert got.tobytes() == _full_grid_batch(ctx, g, z, betas, budget).tobytes()
+
+
+def test_tensor_grid_batch_memory_peak(mixed2):
+    import tracemalloc
+
+    q, V = 3, 12
+    ctx = find_x0(mixed2.cubic_part(), 8, seed=0)
+    betas = [(a / q, b / q) for a in range(-V, V + 1) for b in range(-V, V + 1)]
+    tracemalloc.start()
+    try:
+        for z in (0.0, 1e-4):
+            osc_integral_batch(ctx, mixed2, z, betas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

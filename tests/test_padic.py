@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import diag_cubic, random_cubic
 from cubicpoints.errors import BudgetExceededError, InputError, NonLiftableError
 from cubicpoints.padic import (_SCAN_CHUNK, DEFAULT_BRANCH_BUDGET, PAdicWitness,
+                               _pick_grad_prime,
                                congruence_condition, count_zeros_mod_pk,
                                grad_prime_zero_search, hensel_lift, local_density,
                                nonsingular_zero_search)
@@ -219,9 +220,31 @@ def test_streamed_searches_on_decided_and_deepened_cases():
     assert res.status == "UNKNOWN" and err is BudgetExceededError
     # 3 times a cubic in 9 variables: every point of the three chunks is a
     # singular zero mod 3, and lifting them all is over the branch budget
-    wide = CubicPolynomial.from_terms(9, {**_cubes(9, 3), (1, 1) + (0,) * 7: 3})
+    wide = CubicPolynomial.from_terms(9, _WIDE)
     res, err = _check_searches(wide, 3, kmax=3)
     assert res.status == "UNKNOWN" and err is BudgetExceededError
+
+
+_WIDE = {**_cubes(9, 3), (1, 1) + (0,) * 7: 3}  # 3 (x_1^3 + ... + x_9^3) + 3 x_1 x_2
+
+
+@pytest.mark.parametrize("extra,usable", [
+    ({}, False),  # every zero mod 3 singular
+    ({(1,) + (0,) * 8: 1}, False),  # zeros non-singular, yet partials 2..9 all 0 mod 3
+    ({(1,) + (0,) * 8: 1, (1,) + (0,) * 7 + (1,): 1}, True),  # usable only from x_1 = 1 on
+], ids=["singular", "x1-only", "late"])
+def test_level_one_grad_prime_screen_matches_the_scalar_check(extra, usable):
+    h = CubicPolynomial.from_terms(9, {**_WIDE, **extra})
+    _, Z = next(_levels(h, 3))
+    expected = None
+    for x in Z:
+        grad = h.gradient(x)
+        if any(d % 3 for d in grad[1:]):
+            expected = PAdicWitness(3, 1, x, 0, grad_prime_val=0)
+            break
+    shuffled = np.random.default_rng(0).permutation(np.array(Z, dtype=np.int64))
+    assert _pick_grad_prime(h, shuffled, 3, 1) == expected
+    assert (expected is not None) == usable
 
 
 @given(kind=st.sampled_from(["random", "late", "singular"]), seed=st.integers(0, 2**32 - 1),

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import diag_cubic
-from cubicpoints.arch import ArchContext
+from cubicpoints.arch import ArchContext, find_x0
 from cubicpoints.errors import InputError
 from cubicpoints.poisson import guided_V, poisson_check
 from cubicpoints.polynomials import CubicPolynomial
@@ -33,3 +33,17 @@ def test_rejects_large_dimension():
     ctx = ArchContext.create(8.0, (1.0, -1.0, 1.0, -1.0))
     with pytest.raises(InputError):
         poisson_check(g, 0, 2, 0.0, ctx)
+
+
+MIXED3 = CubicPolynomial.from_terms(  # x^3 + y^3 + z^3 + xy - 2
+    3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (1, 1, 0): 1, (0, 0, 0): -2})
+
+
+@pytest.mark.parametrize("g,q", [
+    (CubicPolynomial.from_terms(2, {(3, 0): 1, (0, 3): 1, (1, 1): 1, (0, 0): 1}), 3),
+    (MIXED3, 2)], ids=["mixed2", "mixed3"])
+@pytest.mark.parametrize("z", [0.0, 1e-4])
+def test_poisson_identity_for_non_separable_cubics(g, q, z):
+    ctx = find_x0(g.cubic_part(), 8, seed=0)
+    rep = poisson_check(g, 1, q, z, ctx, V=4 * q)
+    assert rep.rel_err <= 1e-3
