@@ -36,10 +36,6 @@ def is_squarefull(q):
     return all(e >= 2 for e in factorize(q).values()) if q > 1 else True
 
 
-def is_squarefree(q):
-    return all(e == 1 for e in factorize(q).values())
-
-
 def val_p(m, p):
     """p-adic valuation; None stands for infinity (m = 0)."""
     if m == 0:

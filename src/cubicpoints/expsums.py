@@ -7,11 +7,15 @@ The central object is
 
 kept exact as a length-q histogram of phase residues (the sum equals
 sum_r hist[r] e_q(r)); the complex value is one final contraction against
-precomputed q-th roots of unity.  A CRT fast path splits composite moduli
-into prime-power pieces.  The module also carries the auxiliary counting
-quantities used alongside these sums: the kernel-count N~(q), the lifting
-counts M(p^f; k) with their telescoping identity, and the square-full
-decomposition q = q1^2 q2 of a modulus.
+precomputed q-th roots of unity.  The histogram is built from the joint
+counts J[s, t] = #{y : g(y) = s, v.y = t} by one of three exact paths: the
+2-D convolution of one-variable tables for separable g, stationary phase
+(g(y + p^(e-1) z) = g(y) + p^(e-1) grad g(y).z mod p^e) at prime powers
+q = p^e with e >= 2, and otherwise the direct scan of all residues.  A CRT
+fast path splits composite moduli into prime-power pieces.  The module also
+carries the auxiliary counting quantities used alongside these sums: the
+kernel-count N~(q), the lifting counts M(p^f; k) with their telescoping
+identity, and the square-full decomposition q = q1^2 q2 of a modulus.
 """
 
 from dataclasses import dataclass
@@ -25,8 +29,8 @@ from .arith import euler_phi, factorize, is_squarefull, omega, ramanujan_prime_p
 from .errors import BudgetExceededError, InputError
 from .generic import Poly
 from .intlinalg import smith_diagonal
-from .residues import (drop_unused, eval_mod_vec, residue_chunks, valuation_histogram,
-                       zero_count)
+from .residues import (cyclic_convolve, drop_unused, eval_mod_vec, residue_chunks,
+                       valuation_histogram, zero_count)
 
 DEFAULT_TERM_BUDGET = 10**9
 
@@ -82,21 +86,114 @@ def _units(q):
     return [a for a in range(1, q + 1) if gcd(a, q) == 1] if q > 1 else [1]
 
 
-def _joint_histogram(spec):
-    """J[s, t] = #{y mod q : g(y) = s, v.y = t (mod q)}, times q^(dropped vars)."""
+def _restrict(spec):
+    """(g and v on the variables that matter mod q, number of variables dropped)."""
     g, q, v = spec.g, spec.q, spec.v
     n = g.n
     vlin = Poly(n, {tuple(int(a == i) for a in range(n)): c for i, c in enumerate(v)})
     (gr, _), used = drop_unused([g, vlin], q)
-    vr = np.array([v[i] for i in used], dtype=np.int64)
+    return gr, np.array([v[i] for i in used], dtype=np.int64), n - len(used)
+
+
+def _joint_histogram(gr, vr, q):
+    """J[s, t] = #{y mod q : g(y) = s, v.y = t (mod q)}, by a scan of all q^m points.
+
+    Blocks of 2^18 rows keep the evaluator's temporaries small enough to stay
+    in cache; a block is never smaller than J, whose q^2 cells every block's
+    bincount writes.
+    """
     J = np.zeros(q * q, dtype=np.int64)
-    for X in residue_chunks(q, len(used)):
+    for X in residue_chunks(q, len(vr), chunk=max(1 << 18, q * q)):
         J += np.bincount(eval_mod_vec(gr, X, q) * q + X @ vr % q, minlength=q * q)
-    return (J * q ** (n - len(used))).reshape(q, q)
+    return J.reshape(q, q)
+
+
+def _separable_joint_histogram(gr, vr, q):
+    """The same J for a separable g: the 2-D convolution of one table per variable."""
+    const, per_var = gr.single_variable_pieces()
+    y = np.arange(q, dtype=np.int64)[:, None]
+    J = np.zeros((q, q), dtype=np.int64)
+    J[const % q, 0] = 1
+    for cmap, vi in zip(per_var, vr):
+        piece = Poly(1, {(d,): c for d, c in cmap.items()})
+        Ji = np.bincount(eval_mod_vec(piece, y, q) * q + y[:, 0] * vi % q, minlength=q * q)
+        J = cyclic_convolve(J, Ji.reshape(q, q))
+    return J
+
+
+def _stationary_cells(gr, vr, p, e):
+    """Non-zero cells (label, s, t, count) of J[label, s, t] over y in [0, p^(e-1))^m.
+
+    The label of y comes from grad g(y) mod p: when v is not 0 (mod p) it is
+    the unit lam with grad g(y) = lam v (mod p), or 0 if there is none; when
+    v = 0 (mod p) it is 1 where grad g(y) = 0 (mod p), else 0.
+    """
+    q = p**e
+    grads = gr.gradient_polys()
+    vp = vr % p
+    lead = np.flatnonzero(vp)
+    parts = []
+    for Y in residue_chunks(p ** (e - 1), len(vr)):
+        G = np.array([eval_mod_vec(d, Y, p) for d in grads]).reshape(len(vr), len(Y))
+        if lead.size:
+            lam = G[lead[0]] * pow(int(vp[lead[0]]), -1, p) % p
+            label = np.where(np.all((G - vp[:, None] * lam) % p == 0, axis=0), lam, 0)
+        else:
+            label = np.all(G == 0, axis=0).astype(np.int64)
+        parts.append(np.unique((label * q + eval_mod_vec(gr, Y, q)) * q + Y @ vr % q,
+                               return_counts=True))
+    keys, inv = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
+    counts = np.bincount(inv, weights=np.concatenate([c for _, c in parts]))
+    return (*np.unravel_index(keys, (p, q, q)), counts)
+
+
+def _phase_histogram(J, u, q):
+    """hist[r] = sum over units a of the cells of J[s, t] at r = a^-1 u + a s - t."""
+    s, t = np.nonzero(J)
+    w = J[s, t].astype(np.float64)
+    hist = np.zeros(q)
+    for a in _units(q):
+        hist += np.bincount((pow(a, -1, q) * u + a * s - t) % q, weights=w, minlength=q)
+    return hist.astype(np.int64)
+
+
+def _stationary_phase_histogram(gr, vr, u, p, e):
+    """The phase histogram at q = p^e (e >= 2) from the cells of `_stationary_cells`.
+
+    For a unit a, a cell at r0 = a^-1 u + a s - t is critical when its label
+    is a^-1 mod p (v not 0 mod p) or 1 (v = 0 mod p): then all p^m lifts of
+    its points land on r0.  Any other cell puts p^(m-1) at each of
+    r0 + p^(e-1) k.
+    """
+    q, step, m = p**e, p ** (e - 1), len(vr)
+    label, s, t, w = _stationary_cells(gr, vr, p, e)
+    v_unit = bool((vr % p).any())
+    hist = np.zeros(q)
+    spread = np.zeros(step)
+    for a in _units(q):
+        r0 = (pow(a, -1, q) * u + a * s - t) % q
+        hit = label == (pow(a, -1, p) if v_unit else 1)
+        hist += np.bincount(r0[hit], weights=w[hit], minlength=q)
+        spread += np.bincount(r0[~hit] % step, weights=w[~hit], minlength=step)
+    return (hist * p**m + np.tile(spread, p) * (p**m // p)).astype(np.int64)
 
 
 def complete_sum(spec, budget=DEFAULT_TERM_BUDGET):
-    """Exact S_u(q; v) by direct evaluation; deterministic histogram."""
+    """Exact S_u(q; v) with a deterministic phase histogram.
+
+    The histogram is sum over units a of J[s, t] at a^-1 u + a s - t, where
+    J[s, t] = #{y mod q : g(y) = s, v.y = t}.  Variables absent from g and v
+    mod q are dropped (a factor q each), and J comes from the first path that
+    applies, all exact:
+    - separable g with three or more variables left: J is the 2-D cyclic
+      convolution of the one-variable tables, about m q^3 cell updates;
+    - q = p^e with e >= 2 (stationary phase): with x = y + p^(e-1) z,
+      g(x) = g(y) + p^(e-1) grad g(y).z (mod q), so for each a the p^m lifts
+      of y land together on r0 when a grad g(y) = v (mod p), and spread
+      evenly over r0 + p^(e-1) k otherwise; one scan of p^((e-1)m) points
+      labelled by grad g(y) mod p gives every a;
+    - otherwise the direct scan of all q^m points.
+    """
     g, u, q = spec.g, spec.u, spec.q
     n = g.n
     phi = euler_phi(q)
@@ -105,15 +202,18 @@ def complete_sum(spec, budget=DEFAULT_TERM_BUDGET):
         return ExpSum(spec, (1,), complex(1.0), "direct", 1)
     if terms > budget:
         raise BudgetExceededError(terms, budget, "complete exponential sum")
-    J = _joint_histogram(spec)
-    hist = np.zeros(q, dtype=np.int64)
-    s_idx = np.arange(q, dtype=np.int64)[:, None]
-    t_idx = np.arange(q, dtype=np.int64)[None, :]
-    for a in _units(q):
-        abar = pow(a, -1, q)
-        r = (abar * u + a * s_idx - t_idx) % q
-        hist += np.bincount(r.ravel(), weights=J.ravel(), minlength=q).astype(np.int64)
-    assert int(hist.sum()) == terms, "histogram mass must equal phi(q) q^n"
+    gr, vr, dropped = _restrict(spec)
+    factors = factorize(q)
+    p, e = next(iter(factors.items()))
+    if len(vr) >= 3 and gr.is_separable():
+        hist = _phase_histogram(_separable_joint_histogram(gr, vr, q), u, q)
+    elif len(factors) == 1 and e >= 2:
+        hist = _stationary_phase_histogram(gr, vr, u, p, e)
+    else:
+        hist = _phase_histogram(_joint_histogram(gr, vr, q), u, q)
+    hist *= q**dropped
+    if int(hist.sum()) != terms:
+        raise RuntimeError(f"histogram mass {int(hist.sum())} is not phi(q) q^n = {terms}")
     value = complex(np.dot(hist, _roots_of_unity(q)))
     return ExpSum(spec, tuple(int(x) for x in hist), value, "direct", terms)
 
@@ -413,9 +513,9 @@ def squarefull_parts(q):
             if u >= 13:
                 q4 *= p
         thetas[p] = theta_p(u)
-    parts = SquarefullParts(q, q1, q2, q4, thetas)
-    assert parts.q1**2 * parts.q2 == q
-    return parts
+    if q1**2 * q2 != q:
+        raise RuntimeError(f"q1^2 q2 = {q1**2 * q2} is not q = {q}")
+    return SquarefullParts(q, q1, q2, q4, thetas)
 
 
 # -- square-full box-sum diagnostic ----------------------------------------

@@ -14,7 +14,6 @@ from .finitefield import (
     DEFAULT_POINT_BUDGET,
     ExtField,
     _TABLE_CAP,
-    count_affine_zeros,
     count_zeros_system,
     is_prime,
     projective_from_affine,
@@ -136,17 +135,3 @@ def section_smooth(g0, v, p, budget=DEFAULT_POINT_BUDGET):
             return False
     return True
 
-
-def deligne_defect(F, p, j, s, budget=DEFAULT_POINT_BUDGET):
-    """|count - q^{m-1}| / q^{(m+1+s)/2} for a form F of degree coprime to p."""
-    f = F.to_generic()
-    if not f.is_homogeneous() or f.is_zero():
-        raise InputError("F must be a non-zero form")
-    d = f.degree()
-    if d % p == 0:
-        raise InputError(f"p={p} divides the degree {d}")
-    fld = ExtField(p, j)
-    q = fld.q
-    m = f.n
-    count = count_affine_zeros(f, fld, budget)
-    return abs(count - q ** (m - 1)) / q ** ((m + 1 + s) / 2)

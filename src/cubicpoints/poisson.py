@@ -13,7 +13,7 @@ identity to high accuracy; both sides are computed independently here.
 from dataclasses import dataclass
 from itertools import product
 
-from .arch import osc_integral_batch
+from .arch import DEFAULT_LATTICE_BUDGET, osc_integral_batch
 from .errors import InputError
 from .expsums import DEFAULT_TERM_BUDGET, ExpSumSpec, complete_sum, su_qz
 
@@ -48,7 +48,11 @@ def guided_V(ctx, q, z):
 
 
 def poisson_check(g, u, q, z, ctx, V=None, budget=DEFAULT_TERM_BUDGET):
-    """Both sides of the truncated Poisson identity and their discrepancy."""
+    """Both sides of the truncated Poisson identity and their discrepancy.
+
+    `budget` bounds the lattice box, each complete sum and, capped at
+    `DEFAULT_LATTICE_BUDGET`, the grid of the oscillatory integrals.
+    """
     n = g.n
     if n > 3:
         raise InputError("Poisson cross-check supported for n <= 3")
@@ -60,7 +64,7 @@ def poisson_check(g, u, q, z, ctx, V=None, budget=DEFAULT_TERM_BUDGET):
         sums[vres] = complete_sum(ExpSumSpec(g, u, q, vres), budget).value
     vs = list(product(range(-V, V + 1), repeat=n))
     betas = [tuple(x / q for x in v) for v in vs]
-    ints = osc_integral_batch(ctx, g, z, betas)
+    ints = osc_integral_batch(ctx, g, z, betas, min(budget, DEFAULT_LATTICE_BUDGET))
     rhs = complex(0.0)
     for v, I in zip(vs, ints):
         rhs += sums[tuple(x % q for x in v)] * I

@@ -83,10 +83,15 @@ def drop_unused(polys, q):
 
 
 def cyclic_convolve(h1, h2):
-    """Histogram of a + b mod q for independent a ~ h1, b ~ h2 (q = len(h1))."""
-    out = np.zeros(len(h1), dtype=np.int64)
-    for b in np.flatnonzero(h2):
-        out += np.roll(h1, b) * int(h2[b])
+    """Histogram of a + b for independent a ~ h1, b ~ h2 on one shape (Z/q1 x Z/q2 x ...).
+
+    h1 is rolled over every axis to each non-zero cell of h2, so pass the
+    sparser histogram as h2.
+    """
+    out = np.zeros(h1.shape, dtype=np.int64)
+    axes = tuple(range(h1.ndim))
+    for b in zip(*np.nonzero(h2)):
+        out += np.roll(h1, b, axis=axes) * int(h2[b])
     return out
 
 

@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+from cubicpoints.errors import InputError
+from cubicpoints.expsums import _joint_histogram, _restrict
+from cubicpoints.finitefield import DEFAULT_POINT_BUDGET, ExtField, count_affine_zeros
 from cubicpoints.polynomials import CubicPolynomial
 
 
@@ -31,6 +36,34 @@ def random_cubic(rng, n, span=3):
                 terms[tuple(e)] = int(rng.integers(-span, span + 1))
         if any(c for e, c in terms.items() if sum(e) == 3):
             return CubicPolynomial.from_terms(n, terms)
+
+
+def deligne_defect(F, p, j, s, budget=DEFAULT_POINT_BUDGET):
+    """|count - q^{m-1}| / q^{(m+1+s)/2} for a form F of degree coprime to p."""
+    f = F.to_generic()
+    if not f.is_homogeneous() or f.is_zero():
+        raise InputError("F must be a non-zero form")
+    d = f.degree()
+    if d % p == 0:
+        raise InputError(f"p={p} divides the degree {d}")
+    fld = ExtField(p, j)
+    q = fld.q
+    m = f.n
+    count = count_affine_zeros(f, fld, budget)
+    return abs(count - q ** (m - 1)) / q ** ((m + 1 + s) / 2)
+
+
+def oracle_histogram(spec):
+    """The phase histogram from the direct scan `_joint_histogram`, added up cell by cell."""
+    q, u = spec.q, spec.u
+    gr, vr, dropped = _restrict(spec)
+    J = _joint_histogram(gr, vr, q)
+    s, t = np.nonzero(J)
+    hist = np.zeros(q, dtype=np.int64)
+    for a in range(1, q):
+        if math.gcd(a, q) == 1:
+            np.add.at(hist, (pow(a, -1, q) * u + a * s - t) % q, J[s, t])
+    return tuple(int(x) * q**dropped for x in hist)
 
 
 @pytest.fixture

@@ -15,12 +15,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import diag_cubic, random_cubic
+from conftest import deligne_defect, diag_cubic, random_cubic
 from cubicpoints.arch import (ArchContext, main_term_report, osc_integral_I)
 from cubicpoints.expsums import (ExpSumSpec, M_split_identity_check,
                                  complete_sum, count_M, crt_sum, ntilde,
                                  squarefull_parts, theta_p)
-from cubicpoints.geometry import deligne_defect, section_smooth
+from cubicpoints.geometry import section_smooth
 from cubicpoints.padic import congruence_condition, local_density
 from cubicpoints.polynomials import CubicPolynomial, watson_polynomial
 from cubicpoints.series import s0_at_zero
@@ -155,13 +155,13 @@ def test_square_full_part_inequalities_and_hessian_kernel_bound(mixed2):
             parts = squarefull_parts(q)
             assert parts.q2**3 * parts.q4**6 <= q, (p, e)
             assert theta_p(e) == (1 if (e % 2 == 1 and e >= 13) else 0)
-    from cubicpoints.arith import is_squarefree, omega
+    from cubicpoints.arith import factorize, omega
 
     n = mixed2.n
     A_cap = 2 * n**2
     worst = 1.0
     for q in range(5, 211):
-        if q % 2 == 0 or q % 3 == 0 or not is_squarefree(q):
+        if q % 2 == 0 or q % 3 == 0 or max(factorize(q).values()) > 1:
             continue
         ratio = ntilde(mixed2, q) / q**n
         if ratio > 1:

@@ -2,9 +2,8 @@ import math
 
 import pytest
 
-from cubicpoints.arith import (euler_phi, factorize, is_squarefree,
-                               is_squarefull, omega, ramanujan_prime_power,
-                               val_p)
+from cubicpoints.arith import (euler_phi, factorize, is_squarefull, omega,
+                               ramanujan_prime_power, val_p)
 
 
 def test_factorize_round_trip():
@@ -21,7 +20,6 @@ def test_phi_omega():
 
 
 def test_squarefull_squarefree():
-    assert is_squarefree(30) and not is_squarefree(12)
     assert is_squarefull(72 * 2)  # 144 = 2^4 3^2
     assert not is_squarefull(12)
     assert is_squarefull(1)

@@ -3,12 +3,14 @@ import copy
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import diag_cubic
+from conftest import diag_cubic, oracle_histogram, random_cubic
 from cubicpoints.cli import run
+from cubicpoints.expsums import ExpSumSpec, _roots_of_unity
 from cubicpoints.polynomials import CubicPolynomial, watson_polynomial
 
 
@@ -117,6 +119,35 @@ def test_poisson_command(poly_file, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["abs_err"] <= 1e-3 * (1 + abs(out["lhs"]["re"]))
+
+
+def test_poisson_budget_bounds_the_integral_grid(poly_file, mixed2, capsys):
+    path = poly_file(mixed2)
+    cmd = ["poisson", "-f", path, "-q", "3", "-u", "1", "--deterministic"]
+    assert run(cmd) == 0
+    default = json.loads(capsys.readouterr().out)
+    assert run(cmd + ["--budget", "500"]) == 0
+    coarse = json.loads(capsys.readouterr().out)
+    # the lattice side fits in 500 points either way; only the grid is coarser
+    assert coarse["lhs"] == default["lhs"]
+    assert coarse["rhs"] != default["rhs"]
+
+
+@pytest.mark.parametrize("n,q", [(3, 81), (4, 25)])
+def test_expsum_histograms_at_prime_powers_match_the_direct_scan(poly_file, capsys, n, q):
+    rng = np.random.default_rng(q)
+    g = random_cubic(rng, n)  # coefficients in [-3, 3]: its cubic part stays non-zero mod q
+    v = tuple(int(x) for x in rng.integers(0, q, size=n))
+    for u in (0, 1):
+        code = run(["expsum", "-f", poly_file(g), "-q", str(q), "-u", str(u),
+                    "-v", ",".join(map(str, v)), "--deterministic"])
+        out = json.loads(capsys.readouterr().out)
+        hist = oracle_histogram(ExpSumSpec(g, u, q, v))
+        value = complex(np.dot(hist, _roots_of_unity(q)))
+        assert code == 0
+        assert out["value"] == {"re": value.real, "im": value.imag}
+        if q <= 64:  # the histogram is printed up to q = 64
+            assert out["histogram"] == list(hist)
 
 
 def test_slice_produce_and_verify(tmp_path, seven_var_corpus, capsys):

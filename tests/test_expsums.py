@@ -1,20 +1,21 @@
 import cmath
 import math
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import diag_cubic, random_cubic
+from conftest import diag_cubic, oracle_histogram, random_cubic
+from cubicpoints import expsums
 from cubicpoints.arith import euler_phi
 from cubicpoints.errors import BudgetExceededError, InputError
 from cubicpoints.expsums import (ExpSumSpec, M_split_identity_check,
-                                 _eval_int_vec, box_sum_diagnostic,
-                                 complete_sum, count_M, crt_sum, expsum_auto,
-                                 kernel_count, ntilde, squarefull_parts,
-                                 theta_p)
+                                 _eval_int_vec, box_sum_diagnostic, complete_sum, count_M,
+                                 crt_sum, expsum_auto, kernel_count, ntilde,
+                                 squarefull_parts, theta_p)
 from cubicpoints.polynomials import CubicPolynomial
 
 
@@ -88,6 +89,78 @@ def test_unused_variable_factor():
     a = complete_sum(ExpSumSpec(g2, 1, q, (2, 0))).value
     b = complete_sum(ExpSumSpec(g1, 1, q, (2,))).value
     assert abs(a - q * b) < 1e-9
+
+
+def _draw_cubic(data, n, q, monomials):
+    """A cubic on the given monomials; coefficients times 1, p or q drop terms mod q.
+
+    One cubic monomial gets a coefficient that is a unit mod q, so the cubic
+    keeps degree 3 mod q.
+    """
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    coeff = st.tuples(st.integers(-9, 9), st.sampled_from([1, 1, p, q]))
+    terms = {e: c * k for e, (c, k) in
+             data.draw(st.dictionaries(st.sampled_from(monomials), coeff)).items()}
+    top = data.draw(st.sampled_from([e for e in monomials if sum(e) == 3]))
+    terms[top] = data.draw(st.integers(1, q - 1).filter(lambda c: math.gcd(c, q) == 1))
+    return CubicPolynomial.from_terms(n, terms)
+
+
+def _without_direct_scan():
+    return mock.patch.object(expsums, "_joint_histogram",
+                             side_effect=AssertionError("direct scan used"))
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(2, 4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_stationary_phase_matches_direct_scan(p, e, data):
+    q = p**e
+    n = data.draw(st.integers(1, max(k for k in (1, 2, 3) if k == 1 or q**k <= 6561)))
+    monomials = [x for x in product(range(4), repeat=n) if sum(x) <= 3]
+    g = _draw_cubic(data, n, q, monomials)
+    v = data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    if data.draw(st.booleans()):
+        v = [x * p for x in v]  # v = 0 mod p: critical points are the zeros of grad g mod p
+    spec = ExpSumSpec(g, data.draw(st.integers(0, q - 1)), q, tuple(v))
+    expected = oracle_histogram(spec)
+    with _without_direct_scan():
+        assert complete_sum(spec).histogram == expected
+
+
+@given(st.integers(3, 5), st.integers(2, 12), st.data())
+@settings(max_examples=40, deadline=None)
+def test_separable_convolution_matches_direct_scan(n, q, data):
+    # x1, x2, x3 keep a unit cubic coefficient; the other variables may drop out
+    pure = [tuple(d if j == i else 0 for j in range(n)) for i in range(n) for d in (1, 2, 3)]
+    lead = {m: data.draw(st.integers(1, q - 1).filter(lambda c: math.gcd(c, q) == 1))
+            for m in pure if max(m) == 3 and m.index(3) < 3}
+    g = _draw_cubic(data, n, q, pure + [(0,) * n])
+    g = CubicPolynomial.from_terms(n, {**g.to_generic().terms, **lead})
+    v = data.draw(st.lists(st.integers(0, q - 1) | st.just(0), min_size=n, max_size=n))
+    spec = ExpSumSpec(g, data.draw(st.integers(0, q - 1)), q, tuple(v))
+    expected = oracle_histogram(spec)
+    with _without_direct_scan(), mock.patch.object(
+            expsums, "_stationary_cells", side_effect=AssertionError("stationary phase used")):
+        assert complete_sum(spec).histogram == expected
+
+
+@pytest.mark.parametrize("q,v", [(9, (0, 9)), (27, (0, 0)), (4, (8, 4))])
+def test_stationary_phase_when_every_variable_drops(q, v):
+    # g = 4 (mod q) and v = 0 (mod q): no variable is left, every cell is critical
+    g = CubicPolynomial.from_terms(2, {(3, 0): q, (1, 2): 2 * q, (0, 1): 3 * q, (0, 0): 4})
+    for u in range(q):
+        spec = ExpSumSpec(g, u, q, v)
+        expected = oracle_histogram(spec)
+        with _without_direct_scan():
+            assert complete_sum(spec).histogram == expected
+
+
+def test_histogram_mass_check_survives_optimized_mode(mixed2):
+    spec = ExpSumSpec(mixed2, 1, 7, (1, 2))
+    with mock.patch.object(expsums, "_phase_histogram",
+                           return_value=np.zeros(7, dtype=np.int64)):
+        with pytest.raises(RuntimeError):
+            complete_sum(spec)
 
 
 def test_budget_enforced():

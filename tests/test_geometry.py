@@ -1,9 +1,9 @@
 import pytest
 
-from conftest import diag_cubic
+from conftest import deligne_defect, diag_cubic
 from cubicpoints.errors import AmbiguityError, InputError
-from cubicpoints.geometry import (deligne_defect, section_smooth,
-                                  singular_locus_dim_Q, singular_locus_dim_mod_p)
+from cubicpoints.geometry import (section_smooth, singular_locus_dim_Q,
+                                  singular_locus_dim_mod_p)
 from cubicpoints.polynomials import CubicPolynomial
 
 

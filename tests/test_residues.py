@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cubicpoints.finitefield import ExtField, count_affine_zeros, count_zeros_system
 from cubicpoints.generic import Poly
 from cubicpoints.polynomials import CubicPolynomial
-from cubicpoints.residues import eval_mod_vec
+from cubicpoints.residues import cyclic_convolve, eval_mod_vec
 
 
 @st.composite
@@ -63,3 +63,17 @@ def test_zero_counts_at_a_prime_beyond_int32_squares():
     fld = ExtField(p, 1)
     assert count_zeros_system([F], fld) == brute  # enumeration path
     assert count_affine_zeros(F, fld) == brute  # separable (histogram) path
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_cyclic_convolve_in_two_dimensions_matches_a_double_loop(data):
+    shape = (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6)))
+    cells = st.lists(st.integers(0, 5), min_size=shape[0] * shape[1],
+                     max_size=shape[0] * shape[1])
+    h1 = np.array(data.draw(cells), dtype=np.int64).reshape(shape)
+    h2 = np.array(data.draw(cells), dtype=np.int64).reshape(shape)
+    expected = np.zeros(shape, dtype=np.int64)
+    for (i, j), (k, l) in product(np.ndindex(shape), np.ndindex(shape)):
+        expected[(i + k) % shape[0], (j + l) % shape[1]] += h1[i, j] * h2[k, l]
+    assert np.array_equal(cyclic_convolve(h1, h2), expected)
