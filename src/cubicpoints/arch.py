@@ -24,19 +24,20 @@ _TAIL = 1e-12  # relative Gaussian mass allowed outside the truncation radius
 _QUAD_MIN = 4096
 _QUAD_MAX = 1 << 20
 _BLOCK_ROWS_POINTS = 1 << 18  # grid points per row block of the tensor-grid integral
+_MC_SAMPLES = 20000  # Monte Carlo samples per non-separable I(z; beta)
+_X0_TRIALS = 500  # random lines find_x0 tries
 
 
 @dataclass(frozen=True)
 class ArchContext:
     P: float
     P0: float
-    x0: tuple  # unit vector; on the real cone of g0 unless on_cone is False
+    x0: tuple  # unit vector; on the real cone of g0 when made by find_x0
     hessian_rank: int
     truncation_radius: float
-    on_cone: bool = True
 
     @classmethod
-    def create(cls, P, x0, hessian_rank=None, on_cone=True):
+    def create(cls, P, x0, hessian_rank=None):
         x0 = np.asarray(x0, dtype=float)
         nrm = float(np.linalg.norm(x0))
         if nrm == 0:
@@ -48,7 +49,7 @@ class ArchContext:
         P0 = P / math.log(P) ** 2
         R = P0 * math.sqrt(-math.log(_TAIL) + 4.0)
         return cls(P, P0, tuple(float(v) for v in x0),
-                   hessian_rank if hessian_rank is not None else len(x0), R, on_cone)
+                   hessian_rank if hessian_rank is not None else len(x0), R)
 
     @property
     def center(self):
@@ -86,7 +87,7 @@ def weight(ctx, x):
     return float(ctx.weight_vec(np.asarray(x, dtype=float)[None, :])[0])
 
 
-def find_x0(g0, P, seed=0, trials=500, rank_tol=1e-8):
+def find_x0(g0, P, seed=0):
     """A unit real point on g0 = 0 with Hessian rank >= n - 1, as a context.
 
     Searches random lines a + t b, solving the 1-variable cubic for t; the
@@ -96,7 +97,7 @@ def find_x0(g0, P, seed=0, trials=500, rank_tol=1e-8):
     g0 = g0.cubic_part()
     n = g0.n
     rng = np.random.default_rng((seed, 0xA12C))
-    for _ in range(trials):
+    for _ in range(_X0_TRIALS):
         a = rng.standard_normal(n)
         b = rng.standard_normal(n)
         # coefficients of g0(a + t b) in t
@@ -128,11 +129,11 @@ def find_x0(g0, P, seed=0, trials=500, rank_tol=1e-8):
                 continue
             H = np.array(g0.hessian(x).entries, dtype=float)
             sv = np.linalg.svd(H, compute_uv=False)
-            rank = int(np.sum(sv > rank_tol * max(sv[0], 1e-30)))
+            rank = int(np.sum(sv > 1e-8 * max(sv[0], 1e-30)))
             if rank >= n - 1:
                 return ArchContext.create(P, x, hessian_rank=rank)
     raise SearchFailureError(f"no real cone point with Hessian rank >= {n - 1} "
-                             f"found in {trials} trials")
+                             f"found in {_X0_TRIALS} trials")
 
 
 # -- weighted lattice count N(g; P) ----------------------------------------
@@ -232,30 +233,32 @@ def _monotone_root(f, lo, hi):
 # -- oscillatory integrals --------------------------------------------------
 
 
-def osc_integral_I(ctx, g, z, beta, samples=20000, seed=0, method="auto"):
+def osc_integral_I(ctx, g, z, beta, seed=0):
     """I(z; beta) = integral of w(x) e(z g(x) + beta.x) dx, with error estimate.
 
-    method "mc": importance sampling from the Gaussian w itself.
-    method "separable": exact product of 1-D quadratures (g separable only);
-    "auto" picks the separable path whenever available.
+    Separable g takes the product of 1-D quadratures of `osc_integral_batch`
+    (error 0); anything else is estimated by Monte Carlo.
     """
     n = g.n
     beta = tuple(float(b) for b in beta)
     if len(beta) != n:
         raise InputError("beta has wrong length")
     z = float(z)
-    mass = math.pi ** (n / 2) * ctx.P0**n
     if z == 0.0 and all(b == 0.0 for b in beta):
-        return complex(mass), 0.0  # integrand is exactly 1 against the weight
-    gen = g.to_generic()
-    if method in ("auto", "separable") and gen.is_separable():
-        return _osc_separable(ctx, gen, z, beta), 0.0
-    if method == "separable":
-        raise InputError("polynomial is not separable")
+        # integrand is exactly 1 against the weight
+        return complex(math.pi ** (n / 2) * ctx.P0**n), 0.0
+    if g.to_generic().is_separable():
+        return complex(osc_integral_batch(ctx, g, z, [beta])[0]), 0.0
+    return _osc_monte_carlo(ctx, g, z, beta, _MC_SAMPLES, seed)
+
+
+def _osc_monte_carlo(ctx, g, z, beta, samples, seed):
+    """Importance sampling of I(z; beta) from the Gaussian w itself, with its standard error."""
+    n = g.n
+    mass = math.pi ** (n / 2) * ctx.P0**n
     rng = np.random.default_rng((seed, 0x05C1))
-    c = ctx.center
-    X = rng.normal(loc=c, scale=ctx.P0 / math.sqrt(2.0), size=(samples, n))
-    phase = z * _eval_real_poly(gen, X.T) + X @ np.asarray(beta)
+    X = rng.normal(loc=ctx.center, scale=ctx.P0 / math.sqrt(2.0), size=(samples, n))
+    phase = z * _eval_real_poly(g.to_generic(), X.T) + X @ np.asarray(beta)
     vals = np.exp(2j * np.pi * phase)
     mean = vals.mean()
     var = np.mean(np.abs(vals - mean) ** 2)
@@ -280,15 +283,14 @@ def _quad_points(R, maxfreq):
     return min(max(m, _QUAD_MIN), _QUAD_MAX)
 
 
-def _osc_axis(ctx, cmap, ci, z, beta, npts=None):
+def _osc_axis(ctx, cmap, ci, z, beta):
     """1-D quadrature of exp(-(x-ci)^2/P0^2) e(z q(x) + beta x) by midpoints."""
     R = ctx.truncation_radius
     lo, hi = ci - R, ci + R
     slope = 0.0
     for d, c in cmap.items():
         slope += abs(c) * d * max(abs(lo), abs(hi)) ** (d - 1)
-    if npts is None:
-        npts = _quad_points(R, abs(z) * slope + abs(beta))
+    npts = _quad_points(R, abs(z) * slope + abs(beta))
     h = (hi - lo) / npts
     x = lo + (np.arange(npts) + 0.5) * h
     val = np.zeros(npts)
@@ -298,34 +300,27 @@ def _osc_axis(ctx, cmap, ci, z, beta, npts=None):
     return complex(integrand.sum() * h)
 
 
-def _osc_separable(ctx, gen, z, beta):
-    const, per_var = gen.single_variable_pieces()
-    c = ctx.center
-    out = complex(np.exp(2j * np.pi * z * const))
-    for i, cmap in enumerate(per_var):
-        out *= _osc_axis(ctx, cmap, c[i], z, beta[i])
-    return out
-
-
 def osc_integral_batch(ctx, g, z, betas, budget=DEFAULT_LATTICE_BUDGET):
     """Deterministic I(z; beta) for many betas sharing one evaluation grid.
 
     Separable polynomials factor through per-axis 1-D quadratures with the
     distinct beta components cached.  Otherwise (n = 2, 3) the integrand F
-    lives on an m^n tensor midpoint grid that is never held whole: it is built
-    in blocks of about `_BLOCK_ROWS_POINTS` points along the first axis from
-    per-axis vectors that broadcast, and each block is contracted at once
-    against the phases of every distinct tail b[1:] into that tail's row of
-    m values; the first axis is contracted once per beta.  At z = 0 the factor
-    e(z g) is exactly 1 and is not computed.  Each row gets the floats of a
-    contraction of the whole grid: the Gaussian exponent is summed left to
-    right as `np.sum` does, and no block has a single row, which numpy would
-    hand to a dot kernel that sums in another order.
+    lives on an m^n tensor midpoint grid, m from `tensor_grid_points`, that is
+    never held whole: it is built in blocks of about `_BLOCK_ROWS_POINTS`
+    points along the first axis from per-axis vectors that broadcast, and
+    each block is contracted at once against the phases of every distinct
+    tail b[1:] into that tail's row of m values; the first axis is contracted
+    once per beta.  At z = 0 the factor e(z g) is exactly 1 and is not
+    computed.  Each row gets the floats of a contraction of the whole grid:
+    the Gaussian exponent is summed left to right as `np.sum` does, and no
+    block has a single row, which numpy would hand to a dot kernel that sums
+    in another order.
     """
     n = g.n
     betas = [tuple(float(x) for x in b) for b in betas]
     gen = g.to_generic()
-    if gen.is_separable():
+    m = tensor_grid_points(ctx, gen, z, betas, budget)
+    if m is None:
         const, per_var = gen.single_variable_pieces()
         c = ctx.center
         axis_cache = [dict() for _ in range(n)]
@@ -342,14 +337,8 @@ def osc_integral_batch(ctx, g, z, betas, budget=DEFAULT_LATTICE_BUDGET):
     # a polynomial in one variable is separable, so here n >= 2
     if n > 3:
         raise BudgetExceededError(n, 3, "tensor-grid oscillatory integral")
-    bmax = max((max(abs(x) for x in b) for b in betas), default=0.0)
     R = ctx.truncation_radius
     c = ctx.center
-    span = float(np.max(np.abs(c)) + R)
-    slope = abs(z) * _grad_bound(gen, span)
-    m = _quad_points(R, slope + bmax)
-    if m**n > budget:
-        m = int(budget ** (1 / n))
     axes = [c[i] - R + (np.arange(m) + 0.5) * (2 * R / m) for i in range(n)]
     h = 2 * R / m
     grid = np.ix_(*axes)
@@ -381,6 +370,22 @@ def osc_integral_batch(ctx, g, z, betas, budget=DEFAULT_LATTICE_BUDGET):
     return np.array([complex(rows[b[1:]] @ axis_phase(0, b[0]) * h**n) for b in betas])
 
 
+def tensor_grid_points(ctx, g, z, betas, budget):
+    """Points per axis of the grid `osc_integral_batch` integrates g on; None for separable g.
+
+    Enough midpoints for the fastest phase, cut to budget^(1/n) when the m^n
+    grid is over the budget.
+    """
+    gen = g.to_generic()
+    if gen.is_separable():
+        return None
+    bmax = max((max(abs(x) for x in b) for b in betas), default=0.0)
+    R = ctx.truncation_radius
+    slope = abs(z) * _grad_bound(gen, float(np.max(np.abs(ctx.center)) + R))
+    m = _quad_points(R, slope + bmax)
+    return m if m**gen.n <= budget else int(budget ** (1 / gen.n))
+
+
 def _row_blocks(m, k):
     """Half-open blocks of k rows covering range(m); a lone last row joins the block before."""
     starts = list(range(0, m, k))
@@ -401,10 +406,9 @@ def _grad_bound(gen, span):
 # -- the singular integral and the main-term comparison ---------------------
 
 
-def default_z_grid(levels=10, per_level=6, floor=1e-8):
-    """Geometric refinement of (floor, 1] toward 0; z >= 0 only (symmetry)."""
-    edges = np.geomspace(floor, 1.0, levels * per_level + 1)
-    return edges
+def default_z_grid():
+    """61 geometrically spaced points from 1e-8 to 1; z >= 0 only (symmetry)."""
+    return np.geomspace(1e-8, 1.0, 61)
 
 
 @dataclass(frozen=True)
@@ -416,7 +420,7 @@ class IntegralEstimate:
         return {"value": self.value, "stderr": self.stderr}
 
 
-def singular_integral(ctx, g, z_grid=None, samples=20000, seed=0, use_cubic_part=False):
+def singular_integral(ctx, g, seed=0):
     """J(g; P) = integral over |z| <= 1 of I(z; 0), by refined trapezoid.
 
     Only z >= 0 is evaluated: I(-z; 0) is the conjugate of I(z; 0), so the
@@ -424,14 +428,12 @@ def singular_integral(ctx, g, z_grid=None, samples=20000, seed=0, use_cubic_part
     grid floor contributes at most 2 * floor * pi^{n/2} P0^n, which is folded
     into the error bar.
     """
-    poly = g.cubic_part() if use_cubic_part else g
-    n = poly.n
-    grid = np.asarray(default_z_grid() if z_grid is None else z_grid, dtype=float)
-    grid = np.sort(np.unique(np.abs(grid[grid != 0])))
+    n = g.n
+    grid = default_z_grid()
     vals = np.empty(grid.shape[0])
     errs = np.empty(grid.shape[0])
     for idx, z in enumerate(grid):
-        v, s = osc_integral_I(ctx, poly, z, (0.0,) * n, samples=samples, seed=seed + idx)
+        v, s = osc_integral_I(ctx, g, z, (0.0,) * n, seed=seed + idx)
         vals[idx] = v.real
         errs[idx] = s
     mass = math.pi ** (n / 2) * ctx.P0**n
@@ -476,8 +478,7 @@ class MainTermSummary:
         }
 
 
-def main_term_report(g, P_list, Qmax=20, samples=20000, seed=0,
-                     budget=DEFAULT_LATTICE_BUDGET):
+def main_term_report(g, P_list, Qmax=20, seed=0, budget=DEFAULT_LATTICE_BUDGET):
     """Per-P comparison of the weighted count against series x integral.
 
     The asymptotic identity only holds for n >= 10; smaller n carries a
@@ -496,7 +497,7 @@ def main_term_report(g, P_list, Qmax=20, samples=20000, seed=0,
     for P in P_list:
         ctx = find_x0(g.cubic_part(), P, seed=seed)
         N = count_N(g, ctx, budget)
-        J = singular_integral(ctx, g, samples=samples, seed=seed)
+        J = singular_integral(ctx, g, seed=seed)
         main = sp * J.value
         reports.append(CountReport(
             P=float(P), N_weighted=N, series_partial=sp, integral_estimate=J,

@@ -114,12 +114,12 @@ def canonical_modulus(p, j):
         mod = list(reversed(tail)) + [1]  # low coefficients vary fastest, lex on (c0..c_{j-1})
         if _is_irreducible(mod, p):
             return tuple(mod)
-    raise AssertionError("no irreducible polynomial found")  # cannot happen
+    raise RuntimeError(f"no irreducible polynomial of degree {j} found over F_{p}")
 
 
 @lru_cache(maxsize=8)
 def _field_tables(p, j, modulus):
-    """Read-only (add, mul, square, cube, negation) tables of F_{p^j}.
+    """Read-only (add, mul, square, cube) tables of F_{p^j}.
 
     Built once per field and shared by every `ExtField` of it: a singular-locus
     probe constructs the same fields again and again.
@@ -151,11 +151,7 @@ def _field_tables(p, j, modulus):
     mul = mul.astype(np.int32)
     pow2 = mul[idx, idx]
     pow3 = mul[idx, pow2]
-    neg = np.zeros(q, dtype=np.int32)
-    neg_digits = (-digits) % p
-    for d in range(j):
-        neg += (neg_digits[:, d] * p**d).astype(np.int32)
-    tables = (add, mul, pow2, pow3, neg)
+    tables = (add, mul, pow2, pow3)
     for t in tables:
         t.flags.writeable = False
     return tables
@@ -180,66 +176,24 @@ class ExtField:
         if self.j > 1:
             if self.q > _TABLE_CAP:
                 raise BudgetExceededError(self.q, _TABLE_CAP, "extension field table size")
-            self._add, self._mul, self._pow2, self._pow3, self._neg = _field_tables(
+            self._add, self._mul, self._pow2, self._pow3 = _field_tables(
                 self.p, self.j, self.modulus)
 
     def __repr__(self):
         return f"ExtField(p={self.p}, j={self.j})"
 
-    # -- scalar helpers ---------------------------------------------------
-
-    def embed(self, c):
-        return int(c) % self.p
-
-    def neg_idx(self, idx):
-        if self.j == 1:
-            if np.isscalar(idx) or np.ndim(idx) == 0:
-                return (-int(idx)) % self.p
-            return (-np.asarray(idx)) % self.p
-        return self._neg[idx]
-
-    # -- vector ops (numpy arrays of element indices) ---------------------
-
-    def vadd(self, a, b):
-        if self.j == 1:
-            return (a + b) % self.p
-        return self._add[a, b]
-
-    def vmul(self, a, b):
-        if self.j == 1:
-            return np.multiply(a, b, dtype=np.int64) % self.p
-        return self._mul[a, b]
-
-    def vpow(self, a, e):
-        if e == 0:
-            return np.zeros_like(a) + 1
-        if self.j == 1:
-            out = a
-            for _ in range(e - 1):
-                out = self.vmul(out, a)
-            return out % self.p
-        if e == 1:
-            return a
-        if e == 2:
-            return self._pow2[a]
-        if e == 3:
-            return self._pow3[a]
-        out = a
-        for _ in range(e - 1):
-            out = self._mul[out, a]
-        return out
-
     def eval_poly_vec(self, poly, X):
-        """Evaluate a Poly at points X (array of shape (N, m) of element indices)."""
+        """Evaluate a Poly of degree <= 3 at points X (array of shape (N, m) of element indices)."""
         if self.j == 1:
             return eval_mod_vec(poly, X, self.p)
+        powers = (None, None, self._pow2, self._pow3)
         acc = np.zeros(X.shape[0], dtype=np.int32)
         for e, c in poly.terms.items():
-            c = self.embed(c)
+            c = int(c) % self.p  # integer constants lie in the prime subfield
             term = None
             for i, ei in enumerate(e):
                 if ei:
-                    f = self.vpow(X[:, i], ei)
+                    f = X[:, i] if ei == 1 else powers[ei][X[:, i]]
                     term = f if term is None else self._mul[term, f]
             if term is None:
                 term = np.full(X.shape[0], c, dtype=np.int32)
@@ -327,5 +281,6 @@ def count_separable(F, q, field=None):
 def projective_from_affine(affine_count, q):
     """Projective count for a cone: (affine - 1)/(q - 1), exactly."""
     num = affine_count - 1
-    assert num % (q - 1) == 0, "affine count of a cone must be 1 mod (q-1)"
+    if num % (q - 1):
+        raise RuntimeError("affine count of a cone must be 1 mod (q-1)")
     return num // (q - 1)

@@ -41,19 +41,8 @@ class Poly:
     def __repr__(self):
         return f"Poly(n={self.n}, {len(self.terms)} terms)"
 
-    @classmethod
-    def zero(cls, n):
-        return cls(n, {})
-
-    @classmethod
-    def constant(cls, n, c):
-        return cls(n, {(0,) * n: c})
-
     def is_zero(self):
         return not self.terms
-
-    def degree(self):
-        return max((sum(e) for e in self.terms), default=0)
 
     def eval(self, x):
         if len(x) != self.n:
@@ -87,10 +76,6 @@ class Poly:
 
     def gradient_polys(self):
         return [self.partial(i) for i in range(1, self.n + 1)]
-
-    def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
 
     def is_separable(self):
         """True when every monomial involves at most one variable."""
@@ -141,11 +126,3 @@ class Poly:
             out[e] = c // m
         return Poly(self.n, out)
 
-    def scale(self, m):
-        return Poly(self.n, {e: c * m for e, c in self.terms.items()})
-
-    def add(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return Poly(self.n, out)

@@ -205,5 +205,6 @@ def complete_unimodular(a):
         if n == 1:
             raise InputError("cannot complete (-1) to det +1 in dimension 1")
         N[1] = [-x for x in N[1]]
-    assert det_int(N) == 1 and N[0] == a, "unimodular completion failed internally"
+    if det_int(N) != 1 or N[0] != a:
+        raise RuntimeError("unimodular completion failed internally")
     return N

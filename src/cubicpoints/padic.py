@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import BudgetExceededError, InputError, NonLiftableError
 from .finitefield import count_separable, is_prime, primes_upto
-from .generic import Poly
 from .residues import eval_mod_vec, residue_chunks, zero_count
 
 DEFAULT_ENUM_BUDGET = 2_000_000
@@ -118,14 +117,16 @@ def hensel_lift(g, w, target_k):
     i = min(range(len(x)), key=lambda i: _min_valuation([grad[i]], p, cap=k))
     while k < target_k:
         gv = g.eval(x)
-        assert gv % p**k == 0
+        if gv % p**k:
+            raise RuntimeError(f"Hensel step lost the congruence mod {p}^{k}")
         grad_i = g.gradient(x)[i]
         unit = grad_i // p**delta
         t = (-(gv // p**k) * pow(unit % p, -1, p)) % p
         x[i] += t * p ** (k - delta)
         k += 1
         x = [c % p**target_k for c in x]
-    assert g.eval(x) % p**target_k == 0
+    if g.eval(x) % p**target_k:
+        raise RuntimeError(f"lifted point is not a zero mod {p}^{target_k}")
     return PAdicWitness(p, target_k, tuple(c % p**target_k for c in x),
                         w.grad_val, w.grad_prime_val)
 
@@ -160,12 +161,25 @@ def _nonsingular_mask(g, Z, p, first=1):
     return mask
 
 
-def _nonsingular_witness(g, Z, p):
-    """Precision-1 witness at the first row of Z that is a non-singular zero, or None."""
-    ok = _nonsingular_mask(g, Z, p)
-    if not ok.any():
-        return None
-    return PAdicWitness(p, 1, tuple(int(c) for c in Z[np.flatnonzero(ok)[0]]), 0)
+def _first_witness(g, Z, p, level, first=1):
+    """Witness at the lexicographically first row of Z usable at precision p^level, or None.
+
+    A row is usable when the partials in x_first..x_n, and so all partials,
+    have valuation v with 2v + 1 <= level; at level 1 that is one vectorized
+    check.  With first > 1 the witness records that valuation as grad_prime_val.
+    """
+    if level == 1:
+        Z = Z[_nonsingular_mask(g, Z, p, first)]
+    for row in Z[np.lexsort(Z.T[::-1])]:
+        x = tuple(int(c) for c in row)
+        if level == 1:
+            return PAdicWitness(p, 1, x, 0, 0 if first > 1 else None)
+        grad = g.gradient(x)
+        kp = _min_valuation(grad[first - 1:], p, cap=level)
+        if 2 * kp + 1 <= level:
+            gv = _min_valuation(grad, p, cap=level)
+            return PAdicWitness(p, level, x, gv, kp if first > 1 else None)
+    return None
 
 
 def _line_zeros(g, p, seed, tag):
@@ -213,11 +227,11 @@ def nonsingular_zero_search(g, p, kmax, budget=DEFAULT_ENUM_BUDGET,
     n = g.n
     if p**n > budget:
         for Z in _line_zeros(g, p, seed, 0x5EED):
-            w = _nonsingular_witness(g, Z, p)
+            w = _first_witness(g, Z, p, 1)
             if w is not None:
                 return SearchResult("FOUND", witness=w)
         return SearchResult("UNKNOWN", detail="enumeration over budget; line search found no nonsingular zero")
-    w, Z = _scan_zeros(g, p, lambda Z: _nonsingular_witness(g, Z, p))
+    w, Z = _scan_zeros(g, p, lambda Z: _first_witness(g, Z, p, 1))
     if w is not None:
         return SearchResult("FOUND", witness=w)
     if Z.shape[0] == 0:
@@ -230,14 +244,9 @@ def nonsingular_zero_search(g, p, kmax, budget=DEFAULT_ENUM_BUDGET,
         if cand.shape[0] == 0:
             return SearchResult("FAILS", fail_k=k + 1,
                                 detail=f"no zeros mod {p}^{k + 1}")
-        # a candidate is good once its gradient valuation fits the margin
-        order = np.lexsort(cand.T[::-1])
-        cand = cand[order]
-        for row in cand:
-            x = [int(c) for c in row]
-            gv = _min_valuation(g.gradient(x), p, cap=k + 1)
-            if k + 1 >= 2 * gv + 1:
-                return SearchResult("FOUND", witness=PAdicWitness(p, k + 1, tuple(x), gv))
+        w = _first_witness(g, cand, p, k + 1)
+        if w is not None:
+            return SearchResult("FOUND", witness=w)
         Z = cand
     return SearchResult("UNKNOWN", detail=f"zeros persist to precision {kmax} but stay singular")
 
@@ -287,7 +296,7 @@ def count_zeros_mod_pk(g, p, k, budget=DEFAULT_ENUM_BUDGET, _depth=0):
     if content_val >= k:
         return p ** (k * n)
     if content_val > 0:
-        reduced = Poly(n, {e: c // p**content_val for e, c in gen.terms.items()})
+        reduced = gen.divide_exact(p**content_val)
         return p ** (n * content_val) * count_zeros_mod_pk(reduced, p, k - content_val, budget)
     if p ** (k * n) <= min(budget, 1 << 22):
         return zero_count(gen, residue_chunks(p**k, n), p**k)
@@ -304,7 +313,7 @@ def _count_recursive(gen, p, k, budget, depth):
     if p**n > budget:
         raise BudgetExceededError(p**n, budget, "zero classification mod p")
     if depth > k:
-        raise AssertionError("lifting recursion failed to terminate")
+        raise RuntimeError("lifting recursion failed to terminate")
     Z = _zeros_mod_p(gen, p)
     if Z.shape[0] == 0:
         return 0
@@ -354,11 +363,11 @@ def grad_prime_zero_search(h, p, kmax=4, budget=DEFAULT_ENUM_BUDGET, seed=0):
     if p**n > budget:
         # large p^n: random lines; nearly always a k=0 witness exists
         for cand in _line_zeros(h, p, seed, 0xACE):
-            w = _pick_grad_prime(h, cand, p, level=1)
+            w = _first_witness(h, cand, p, 1, first=2)
             if w is not None:
                 return w
         raise BudgetExceededError(p**n, budget, "restricted-gradient witness search")
-    w, Z = _scan_zeros(h, p, lambda Z: _pick_grad_prime(h, Z, p, 1))
+    w, Z = _scan_zeros(h, p, lambda Z: _first_witness(h, Z, p, 1, first=2))
     level = 1
     while w is None:
         if Z.shape[0] == 0:
@@ -371,26 +380,5 @@ def grad_prime_zero_search(h, p, kmax=4, budget=DEFAULT_ENUM_BUDGET, seed=0):
                                       "restricted-gradient branching")
         Z = _lift_digit(h, Z, p, level)
         level += 1
-        w = _pick_grad_prime(h, Z, p, level)
+        w = _first_witness(h, Z, p, level, first=2)
     return w
-
-
-def _pick_grad_prime(h, cand, p, level):
-    """First candidate (lexicographically) usable at this precision level."""
-    if cand.shape[0] == 0:
-        return None
-    cand = cand[np.lexsort(cand.T[::-1])]
-    if level == 1:  # usable iff a partial 2..n is non-zero mod p
-        ok = _nonsingular_mask(h, cand, p, first=2)
-        if not ok.any():
-            return None
-        x = tuple(int(c) for c in cand[np.flatnonzero(ok)[0]])
-        return PAdicWitness(p, 1, x, 0, grad_prime_val=0)
-    for row in cand:
-        x = [int(c) for c in row]
-        grad = h.gradient(x)
-        kp = _min_valuation(grad[1:], p, cap=level)
-        gv = _min_valuation(grad, p, cap=level)
-        if 2 * kp + 1 <= level and 2 * gv + 1 <= level:
-            return PAdicWitness(p, level, tuple(x), gv, grad_prime_val=kp)
-    return None

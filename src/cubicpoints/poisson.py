@@ -13,7 +13,7 @@ identity to high accuracy; both sides are computed independently here.
 from dataclasses import dataclass
 from itertools import product
 
-from .arch import DEFAULT_LATTICE_BUDGET, osc_integral_batch
+from .arch import DEFAULT_LATTICE_BUDGET, osc_integral_batch, tensor_grid_points
 from .errors import InputError
 from .expsums import DEFAULT_TERM_BUDGET, ExpSumSpec, complete_sum, su_qz
 
@@ -28,6 +28,7 @@ class PoissonReport:
     rhs: complex
     abs_err: float
     rel_err: float
+    grid_points: int  # points per axis of the integral's grid; None for separable g
 
     def to_json_dict(self):
         return {
@@ -35,6 +36,7 @@ class PoissonReport:
             "lhs": {"re": self.lhs.real, "im": self.lhs.imag},
             "rhs": {"re": self.rhs.real, "im": self.rhs.imag},
             "abs_err": self.abs_err, "rel_err": self.rel_err,
+            "grid_points": self.grid_points,
         }
 
 
@@ -64,11 +66,12 @@ def poisson_check(g, u, q, z, ctx, V=None, budget=DEFAULT_TERM_BUDGET):
         sums[vres] = complete_sum(ExpSumSpec(g, u, q, vres), budget).value
     vs = list(product(range(-V, V + 1), repeat=n))
     betas = [tuple(x / q for x in v) for v in vs]
-    ints = osc_integral_batch(ctx, g, z, betas, min(budget, DEFAULT_LATTICE_BUDGET))
+    grid_budget = min(budget, DEFAULT_LATTICE_BUDGET)
+    ints = osc_integral_batch(ctx, g, z, betas, grid_budget)
     rhs = complex(0.0)
     for v, I in zip(vs, ints):
         rhs += sums[tuple(x % q for x in v)] * I
     rhs /= q**n
     err = abs(lhs - rhs)
-    return PoissonReport(q, u % q, float(z), V, lhs, rhs, err,
-                         err / (1.0 + abs(lhs)))
+    return PoissonReport(q, u % q, float(z), V, lhs, rhs, err, err / (1.0 + abs(lhs)),
+                         tensor_grid_points(ctx, g, z, betas, grid_budget))

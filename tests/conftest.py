@@ -41,9 +41,10 @@ def random_cubic(rng, n, span=3):
 def deligne_defect(F, p, j, s, budget=DEFAULT_POINT_BUDGET):
     """|count - q^{m-1}| / q^{(m+1+s)/2} for a form F of degree coprime to p."""
     f = F.to_generic()
-    if not f.is_homogeneous() or f.is_zero():
+    degrees = {sum(e) for e in f.terms}
+    if len(degrees) != 1:
         raise InputError("F must be a non-zero form")
-    d = f.degree()
+    (d,) = degrees
     if d % p == 0:
         raise InputError(f"p={p} divides the degree {d}")
     fld = ExtField(p, j)

@@ -60,7 +60,7 @@ def test_crt_decomposition_matches_direct_evaluation():
 def test_weighted_sum_equals_truncated_dual_form():
     gs = {1: CubicPolynomial.from_terms(1, {(3,): 1}),
           2: diag_cubic(2)}
-    ctxs = {1: ArchContext.create(8.0, (1.0,), on_cone=False),
+    ctxs = {1: ArchContext.create(8.0, (1.0,)),
             2: ArchContext.create(8.0, (1.0, -1.0))}
     from cubicpoints.poisson import poisson_check
 

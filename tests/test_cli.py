@@ -131,6 +131,19 @@ def test_poisson_budget_bounds_the_integral_grid(poly_file, mixed2, capsys):
     # the lattice side fits in 500 points either way; only the grid is coarser
     assert coarse["lhs"] == default["lhs"]
     assert coarse["rhs"] != default["rhs"]
+    assert coarse["grid_points"] == 22  # isqrt(500)
+
+
+def test_poisson_reports_the_integral_grid(poly_file, capsys):
+    # n = 3 always coarsens the grid: 4096^3 points never fit the default budget of 2 * 10^7
+    mixed3 = CubicPolynomial.from_terms(
+        3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (1, 1, 0): 1, (0, 0, 0): -2})
+    assert run(["poisson", "-f", poly_file(mixed3), "-q", "2", "-u", "1", "--deterministic"]) == 0
+    assert json.loads(capsys.readouterr().out)["grid_points"] == 271
+    # separable: per-axis quadratures, no tensor grid
+    assert run(["poisson", "-f", poly_file(diag_cubic(3, const=-2), "diag3.json"),
+                "-q", "3", "-u", "1", "--deterministic"]) == 0
+    assert json.loads(capsys.readouterr().out)["grid_points"] is None
 
 
 @pytest.mark.parametrize("n,q", [(3, 81), (4, 25)])

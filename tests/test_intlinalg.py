@@ -1,8 +1,12 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cubicpoints
 from cubicpoints.errors import InputError
 from cubicpoints.intlinalg import (complete_unimodular, crt_list, crt_pair,
                                    det_int, inverse_unimodular,
@@ -90,3 +94,20 @@ def test_complete_unimodular(rng):
         M = complete_unimodular(a)
         assert list(M[0]) == list(a)
         assert abs(det_int([list(r) for r in M])) == 1
+
+
+_BROKEN_COMPLETION = """
+from unittest import mock
+from cubicpoints import intlinalg
+with mock.patch.object(intlinalg, "det_int", return_value=0):
+    intlinalg.complete_unimodular([2, 3])
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_completion_check_survives_optimized_mode(flags):
+    src = str(Path(cubicpoints.__file__).resolve().parents[1])
+    r = subprocess.run([sys.executable, *flags, "-c", _BROKEN_COMPLETION],
+                       capture_output=True, text=True, env={"PYTHONPATH": src})
+    assert r.returncode == 1
+    assert "RuntimeError: unimodular completion failed internally" in r.stderr

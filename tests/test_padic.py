@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from hypothesis import strategies as st
 from conftest import diag_cubic, random_cubic
 from cubicpoints.errors import BudgetExceededError, InputError, NonLiftableError
 from cubicpoints.padic import (_SCAN_CHUNK, DEFAULT_BRANCH_BUDGET, PAdicWitness,
-                               _pick_grad_prime,
-                               congruence_condition, count_zeros_mod_pk,
+                               _count_recursive, _first_witness, congruence_condition, count_zeros_mod_pk,
                                grad_prime_zero_search, hensel_lift, local_density,
                                nonsingular_zero_search)
 from cubicpoints.polynomials import CubicPolynomial, watson_polynomial
@@ -38,6 +38,23 @@ def test_hensel_margin_violation():
     w = PAdicWitness(3, 1, (0,), 1)
     with pytest.raises(NonLiftableError):
         hensel_lift(g, w, 4)
+
+
+@pytest.mark.parametrize("target", [2, 1], ids=["step", "result"])
+def test_hensel_lift_checks_survive_optimized_mode(target):
+    # g.eval passes the entry check, then reports a point that is no zero:
+    # inside the first lifting step (target 2), or at the final check (target 1)
+    g = CubicPolynomial.from_terms(1, {(3,): 1, (1,): 1, (0,): -2})
+    w = PAdicWitness(5, 1, (1,), 0)
+    with mock.patch.object(CubicPolynomial, "eval", side_effect=[0, 1]):
+        with pytest.raises(RuntimeError):
+            hensel_lift(g, w, target)
+
+
+def test_lifting_recursion_depth_check_survives_optimized_mode(mixed2):
+    # the recursion lowers k by 2 per level, so a depth above k means it did not descend
+    with pytest.raises(RuntimeError):
+        _count_recursive(mixed2.to_generic(), 3, 2, 10**6, 3)
 
 
 def test_search_finds_nonsingular_zero(mixed2):
@@ -243,7 +260,7 @@ def test_level_one_grad_prime_screen_matches_the_scalar_check(extra, usable):
             expected = PAdicWitness(3, 1, x, 0, grad_prime_val=0)
             break
     shuffled = np.random.default_rng(0).permutation(np.array(Z, dtype=np.int64))
-    assert _pick_grad_prime(h, shuffled, 3, 1) == expected
+    assert _first_witness(h, shuffled, 3, 1, first=2) == expected
     assert (expected is not None) == usable
 
 

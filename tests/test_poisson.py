@@ -9,7 +9,7 @@ from cubicpoints.polynomials import CubicPolynomial
 
 def test_identity_one_variable():
     g = CubicPolynomial.from_terms(1, {(3,): 1})
-    ctx = ArchContext.create(8.0, (1.0,), on_cone=False)
+    ctx = ArchContext.create(8.0, (1.0,))
     rep = poisson_check(g, 1, 2, 1e-3, ctx, V=8)
     assert rep.rel_err < 1e-9
 
