@@ -23,6 +23,7 @@ from .residues import cyclic_convolve, drop_unused, eval_mod_vec, residue_chunks
 
 DEFAULT_POINT_BUDGET = 50_000_000
 _TABLE_CAP = 2500
+_SCAN_BLOCK = 1 << 16  # rows per block of a zero-count scan, which bounds its memory
 
 
 def is_prime(m):
@@ -219,7 +220,7 @@ def count_zeros_system(polys, field, budget=DEFAULT_POINT_BUDGET):
     if needed > budget:
         raise BudgetExceededError(needed, budget, "affine point enumeration")
     count = 0
-    for X in residue_chunks(field.q, len(used), dtype=np.int32):
+    for X in residue_chunks(field.q, len(used), _SCAN_BLOCK, dtype=np.int32):
         mask = field.eval_poly_vec(reduced[0], X) == 0
         for f in reduced[1:]:
             if not mask.any():
@@ -229,6 +230,28 @@ def count_zeros_system(polys, field, budget=DEFAULT_POINT_BUDGET):
             mask[sub[vals != 0]] = False
         count += int(mask.sum())
     return count * field.q ** (m - len(used))
+
+
+def count_cone_zeros(polys, field, budget=DEFAULT_POINT_BUDGET):
+    """`count_zeros_system` for forms of positive degree, counted on projective charts.
+
+    The common zeros of forms make a cone: 1 + (q - 1) #P points over the k
+    variables kept mod p, where #P sums the zeros of the charts
+    x_1 = ... = x_{i-1} = 0, x_i = 1 of those variables.  The largest chart
+    has q^(k-1) points.
+    """
+    for f in polys:
+        degrees = {len(cols) for _, cols in f.monomials()}
+        if len(degrees) > 1 or 0 in degrees:
+            raise InputError("projective charts need forms of positive degree")
+    reduced, used = drop_unused(polys, field.p)
+    k = len(used)
+    charts = 0
+    for i in range(k):
+        chart = [Poly(k - 1 - i, {e[i + 1:]: c for e, c in f.terms.items() if not any(e[:i])})
+                 for f in reduced]
+        charts += count_zeros_system(chart, field, budget)
+    return field.q ** (polys[0].n - k) * (1 + (field.q - 1) * charts)
 
 
 def count_affine_zeros(F, field, budget=DEFAULT_POINT_BUDGET):

@@ -14,7 +14,7 @@ from .finitefield import (
     DEFAULT_POINT_BUDGET,
     ExtField,
     _TABLE_CAP,
-    count_zeros_system,
+    count_cone_zeros,
     is_prime,
     projective_from_affine,
 )
@@ -43,8 +43,8 @@ class LocusDimReport:
 def singular_locus_dim_mod_p(g0, p, jmax=3, budget=DEFAULT_POINT_BUDGET):
     """Estimate s_p(g0): the dimension of the singular locus of g0 = 0 over F_p.
 
-    Counts projective solutions of grad(g0) = 0 over F_{p^j} for each feasible
-    j <= jmax and fits the exponent d with count ~ p^{jd}; d = -1 iff every
+    Counts projective solutions of grad(g0) = 0, g0 a form, over F_{p^j} for each
+    feasible j <= jmax and fits the exponent d with count ~ p^{jd}; d = -1 iff every
     tested extension had only the trivial zero.
     """
     n = g0.n
@@ -56,7 +56,7 @@ def singular_locus_dim_mod_p(g0, p, jmax=3, budget=DEFAULT_POINT_BUDGET):
         if q**active_vars > budget or (j > 1 and q > _TABLE_CAP):
             break
         fld = ExtField(p, j)
-        affine = count_zeros_system(system, fld, budget)
+        affine = count_cone_zeros(system, fld, budget)
         counts[j] = affine
         proj[j] = projective_from_affine(affine, q)
     if not counts:

@@ -170,10 +170,13 @@ def _first_witness(g, Z, p, level, first=1):
     """
     if level == 1:
         Z = Z[_nonsingular_mask(g, Z, p, first)]
+        if Z.shape[0] == 0:
+            return None
+        for i in range(Z.shape[1]):  # narrow to the lexicographic minimum
+            Z = Z[Z[:, i] == Z[:, i].min()]
+        return PAdicWitness(p, 1, tuple(int(c) for c in Z[0]), 0, 0 if first > 1 else None)
     for row in Z[np.lexsort(Z.T[::-1])]:
         x = tuple(int(c) for c in row)
-        if level == 1:
-            return PAdicWitness(p, 1, x, 0, 0 if first > 1 else None)
         grad = g.gradient(x)
         kp = _min_valuation(grad[first - 1:], p, cap=level)
         if 2 * kp + 1 <= level:

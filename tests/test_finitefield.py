@@ -1,12 +1,15 @@
+from itertools import product
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubicpoints import finitefield, geometry
 from cubicpoints.errors import BudgetExceededError, InputError
 from cubicpoints.finitefield import (ExtField, additive_convolve,
-                                     canonical_modulus, count_affine_zeros,
+                                     canonical_modulus, count_affine_zeros, count_cone_zeros,
                                      count_zeros_system, is_prime, primes_upto,
                                      projective_from_affine)
 from cubicpoints.generic import Poly
@@ -142,9 +145,43 @@ def test_projective_from_affine():
 def test_cone_count_check_survives_optimized_mode():
     # a singular-locus probe whose affine count of the cone is not 1 mod (q - 1)
     g0 = Poly(3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
-    with mock.patch.object(geometry, "count_zeros_system", return_value=2):
+    with mock.patch.object(geometry, "count_cone_zeros", return_value=2):
         with pytest.raises(RuntimeError):
             geometry.singular_locus_dim_mod_p(g0, 5)
+
+
+@st.composite
+def form_systems(draw):
+    """(field, forms): F_p or F_(p^2), one to three forms of degree 1-3 in m <= 5 variables.
+
+    Coefficients that are multiples of p drop terms, and with them variables,
+    mod p; forms without terms, and systems of such forms, are drawn too.
+    """
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    j = draw(st.integers(1, 2))
+    q = p**j
+    m = draw(st.integers(1, max(k for k in range(1, 6) if q**k <= 400_000)))
+    coeffs = st.integers(-3, 3) | st.integers(-2, 2).map(lambda c: c * p)
+    forms = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 3))
+        monos = [e for e in product(range(d + 1), repeat=m) if sum(e) == d]
+        chosen = draw(st.lists(st.sampled_from(monos), max_size=4, unique=True))
+        forms.append(Poly(m, {e: draw(coeffs) for e in chosen}))
+    return ExtField(p, j), forms
+
+
+@given(form_systems())
+@settings(max_examples=120, deadline=None)
+def test_cone_count_matches_the_direct_scan(case):
+    fld, forms = case
+    assert count_cone_zeros(forms, fld) == count_zeros_system(forms, fld)
+
+
+@pytest.mark.parametrize("terms", [{(1, 0): 1, (2, 0): 1}, {(0, 0): 3}, {(1, 1): 2, (0, 0): 1}])
+def test_cone_count_requires_forms(terms):
+    with pytest.raises(InputError):
+        count_cone_zeros([Poly(2, {(0, 2): 1}), Poly(2, terms)], ExtField(5))
 
 
 def test_modulus_search_failure_is_an_error():

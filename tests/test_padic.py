@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from conftest import diag_cubic, random_cubic
 from cubicpoints.errors import BudgetExceededError, InputError, NonLiftableError
 from cubicpoints.padic import (_SCAN_CHUNK, DEFAULT_BRANCH_BUDGET, PAdicWitness,
-                               _count_recursive, _first_witness, congruence_condition, count_zeros_mod_pk,
+                               _count_recursive, _first_witness, _nonsingular_mask,
+                               congruence_condition, count_zeros_mod_pk,
                                grad_prime_zero_search, hensel_lift, local_density,
                                nonsingular_zero_search)
 from cubicpoints.polynomials import CubicPolynomial, watson_polynomial
@@ -281,3 +282,19 @@ def test_streamed_searches_match_a_brute_force_reference(kind, seed, pick):
         p, n = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)][pick % 8]
         g = _singular(rng, n, p)
     _check_searches(g, p, kmax=3)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), rows=st.integers(0, 40),
+       p=st.sampled_from([2, 3, 5]), first=st.integers(1, 2))
+@settings(max_examples=100, deadline=None)
+def test_level_one_witness_is_the_first_usable_row_in_lexicographic_order(seed, n, rows, p, first):
+    rng = np.random.default_rng(seed)
+    g = random_cubic(rng, n)
+    first = min(first, n)
+    Z = rng.integers(0, p, size=(rows, n))  # few residues per column: many ties
+    usable = Z[_nonsingular_mask(g, Z, p, first)]
+    expected = None
+    if usable.shape[0]:
+        x = tuple(int(c) for c in usable[np.lexsort(usable.T[::-1])][0])
+        expected = PAdicWitness(p, 1, x, 0, 0 if first > 1 else None)
+    assert _first_witness(g, Z, p, 1, first) == expected

@@ -1,8 +1,12 @@
 import dataclasses
+import tracemalloc
+from unittest import mock
 
 import pytest
 
+from cubicpoints import finitefield, slicing
 from cubicpoints.errors import SearchFailureError
+from cubicpoints.finitefield import ExtField, count_affine_zeros
 from cubicpoints.slicing import (SliceCertificate, find_good_hyperplane,
                                  slice_count_identity,
                                  slice_step, verify_certificate)
@@ -70,6 +74,29 @@ def test_count_identity_exact(cert):
     rep = slice_count_identity(cert.result, 7)
     assert rep.ok
     assert rep.N * 6 == rep.N1 - rep.N2
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_count_identity_stays_three_direct_scans(cert, p):
+    # N1 charted on the homogenizing variable would be h^(c) itself: nothing left to check
+    charted = AssertionError("a slice count went through projective charts")
+    with mock.patch.object(finitefield, "count_cone_zeros", side_effect=charted), \
+            mock.patch.object(slicing, "count_cone_zeros", side_effect=charted, create=True):
+        rep = slice_count_identity(cert.result, p)
+    assert rep.ok
+
+
+def test_slice_count_scan_memory_is_bounded(cert):
+    F = cert.result.homogenize().to_generic()
+    assert F.n == 7 and not F.is_separable()  # a full scan of 7^7 points
+    fld = ExtField(7)
+    tracemalloc.start()
+    try:
+        count_affine_zeros(F, fld)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_nonsingular_input_rejected():
