@@ -18,7 +18,7 @@ import numpy as np
 from .arch import find_x0, main_term_report
 from .errors import (AmbiguityError, BudgetExceededError, InputError,
                      NonLiftableError, SearchFailureError)
-from .expsums import (DEFAULT_TERM_BUDGET, ExpSumSpec, box_sum_diagnostic,
+from .expsums import (DEFAULT_TERM_BUDGET, ExpSumSpec, box_sum_diagnostic, complete_sums,
                       expsum_auto, squarefull_parts, theta_p)
 from .finitefield import primes_upto
 from .geometry import section_smooth, singular_locus_dim_Q
@@ -126,14 +126,11 @@ def _cmd_series(args, t0):
                   ("q", "term"))
         return EXIT_OK
     out = rep.to_json_dict()
-    if args.pmax:
-        pos = positivity_certificate(g, args.pmax, kmax=args.kmax,
-                                     budget=args.budget, seed=args.seed)
-        out["positivity"] = pos.to_json_dict()
-        _emit(out, args, t0)
-        return EXIT_NEGATIVE if pos.status == "NOT_POSITIVE" else EXIT_OK
+    pos = positivity_certificate(g, args.pmax, kmax=args.kmax,
+                                 budget=args.budget, seed=args.seed)
+    out["positivity"] = pos.to_json_dict()
     _emit(out, args, t0)
-    return EXIT_OK
+    return EXIT_NEGATIVE if pos.status == "NOT_POSITIVE" else EXIT_OK
 
 
 def _cmd_congruence(args, t0):
@@ -182,23 +179,18 @@ def _cmd_bounds(args, t0):
     ref = float(10)
     ratio_sweep = []
     dichotomy = []
+    g0 = g.cubic_part()
     for p in primes:
-        worst = 0.0
-        for u in (1, 2):
-            for _ in range(min(50, p**n)):
-                v = tuple(int(x) for x in rng.integers(0, p, size=n))
-                val = abs(expsum_auto(ExpSumSpec(g, u, p, v), args.budget).value)
-                worst = max(worst, val / p ** ((n + 1) / 2))
+        # every frequency is drawn first, in the order u = 1, u = 2, smooth-section probes
+        k, j = min(50, p**n), min(20, p**n)
+        draws = [tuple(int(x) for x in rng.integers(0, p, size=n)) for _ in range(2 * k + j)]
+        scale = p ** ((n + 1) / 2)
+        worst = max([abs(res.value) / scale for u, vs in ((1, draws[:k]), (2, draws[k:2 * k]))
+                     for res in complete_sums(g, u, p, vs, args.budget)], default=0.0)
         ratio_sweep.append({"p": p, "max_ratio": worst, "ok": worst <= ref})
-        smooth_worst = 0.0
-        for _ in range(min(20, p**n)):
-            v = tuple(int(x) for x in rng.integers(0, p, size=n))
-            if all(x % p == 0 for x in v):
-                continue
-            if not section_smooth(g.cubic_part(), v, p):
-                continue
-            val = abs(expsum_auto(ExpSumSpec(g, 0, p, v), args.budget).value)
-            smooth_worst = max(smooth_worst, val / p ** ((n + 1) / 2))
+        smooth = [v for v in draws[2 * k:] if any(x % p for x in v) and section_smooth(g0, v, p)]
+        smooth_worst = max([abs(res.value) / scale
+                            for res in complete_sums(g, 0, p, smooth, args.budget)], default=0.0)
         dichotomy.append({"p": p, "max_smooth_ratio": smooth_worst,
                           "ok": smooth_worst <= ref})
     square_full = []

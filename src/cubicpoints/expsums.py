@@ -7,11 +7,13 @@ The central object is
 
 kept exact as a length-q histogram of phase residues (the sum equals
 sum_r hist[r] e_q(r)); the complex value is one final contraction against
-precomputed q-th roots of unity.  The histogram is built from the joint
-counts J[s, t] = #{y : g(y) = s, v.y = t} by one of three exact paths: the
-2-D convolution of one-variable tables for separable g, stationary phase
-(g(y + p^(e-1) z) = g(y) + p^(e-1) grad g(y).z mod p^e) at prime powers
-q = p^e with e >= 2, and otherwise the direct scan of all residues.  A CRT
+precomputed q-th roots of unity.  `complete_sums` takes many frequencies v at
+one modulus: what depends on g alone is computed once, and the frequencies go
+through in blocks of bounded memory.  Its exact paths: stationary phase
+(g(y + p^(e-1) z) = g(y) + p^(e-1) grad g(y).z mod p^e) at q = p^e, e >= 2;
+one-variable tables convolved per unit a for separable g; otherwise the scan
+of J[s, t] = #{y : g(y) = s, v.y = t}, contracted for a whole block as the
+sum of J[s, t] L[s, t + r] with L[s, w] = #{units a : a s + a^-1 u = w}.  A CRT
 fast path splits composite moduli into prime-power pieces.  The module also
 carries the auxiliary counting quantities used alongside these sums: the
 kernel-count N~(q), the lifting counts M(p^f; k) with their telescoping
@@ -29,10 +31,11 @@ from .arith import euler_phi, factorize, is_squarefull, omega, ramanujan_prime_p
 from .errors import BudgetExceededError, InputError
 from .generic import Poly
 from .intlinalg import smith_diagonal
-from .residues import (cyclic_convolve, drop_unused, eval_mod_vec, residue_chunks,
-                       valuation_histogram, zero_count)
+from .residues import (drop_unused, eval_mod_vec, residue_chunks, valuation_histogram,
+                       zero_count)
 
 DEFAULT_TERM_BUDGET = 10**9
+_BLOCK_CELLS = 1 << 18  # cells of the largest array one block of frequencies holds
 
 
 @dataclass(frozen=True)
@@ -83,139 +86,187 @@ def _roots_of_unity(q):
 
 
 def _units(q):
-    return [a for a in range(1, q + 1) if gcd(a, q) == 1] if q > 1 else [1]
+    """The units a mod q and their inverses, as int64 arrays."""
+    a = [a for a in range(1, q + 1) if gcd(a, q) == 1] if q > 1 else [1]
+    return np.array(a, dtype=np.int64), np.array([pow(x, -1, q) for x in a], dtype=np.int64)
 
 
-def _restrict(spec):
-    """(g and v on the variables that matter mod q, number of variables dropped)."""
-    g, q, v = spec.g, spec.q, spec.v
-    n = g.n
-    vlin = Poly(n, {tuple(int(a == i) for a in range(n)): c for i, c in enumerate(v)})
-    (gr, _), used = drop_unused([g, vlin], q)
-    return gr, np.array([v[i] for i in used], dtype=np.int64), n - len(used)
+def _blocks(rows, cells):
+    """Consecutive blocks of `rows`, at most `_BLOCK_CELLS` // cells each."""
+    size = max(1, _BLOCK_CELLS // cells)
+    return [rows[i:i + size] for i in range(0, len(rows), size)]
 
 
-def _joint_histogram(gr, vr, q):
-    """J[s, t] = #{y mod q : g(y) = s, v.y = t (mod q)}, by a scan of all q^m points.
+def _scan(q, m, rows, evaluate):
+    """Re-iterable chunks (Y, evaluate(Y)) of (Z/q)^m; a single chunk is evaluated once."""
+    if q**m <= rows:
+        done = [(Y, evaluate(Y)) for Y in residue_chunks(q, m, chunk=rows)]
+        return lambda: done
+    return lambda: ((Y, evaluate(Y)) for Y in residue_chunks(q, m, chunk=rows))
 
-    Blocks of 2^18 rows keep the evaluator's temporaries small enough to stay
-    in cache; a block is never smaller than J, whose q^2 cells every block's
-    bincount writes.
+
+def _contract(cells, W, u, q):
+    """hist[b, r] = sum over units a and cells c = s q + t of W[b, c] at r = a^-1 u + a s - t.
+
+    Those units are the a with a s + a^-1 u = t + r, so hist[b, r] is the sum
+    of W[b, c] L[s, t + r] with L[s, w] = #{units a : a s + a^-1 u = w}: a
+    float64 product of W with the rows of L that the cells select,
+    `_BLOCK_CELLS` entries at a time.  Its partial sums are integers below
+    phi(q) q^m, exact while that is below 2^53.
     """
-    J = np.zeros(q * q, dtype=np.int64)
-    for X in residue_chunks(q, len(vr), chunk=max(1 << 18, q * q)):
-        J += np.bincount(eval_mod_vec(gr, X, q) * q + X @ vr % q, minlength=q * q)
-    return J.reshape(q, q)
-
-
-def _separable_joint_histogram(gr, vr, q):
-    """The same J for a separable g: the 2-D convolution of one table per variable."""
-    const, per_var = gr.single_variable_pieces()
-    y = np.arange(q, dtype=np.int64)[:, None]
-    J = np.zeros((q, q), dtype=np.int64)
-    J[const % q, 0] = 1
-    for cmap, vi in zip(per_var, vr):
-        piece = Poly(1, {(d,): c for d, c in cmap.items()})
-        Ji = np.bincount(eval_mod_vec(piece, y, q) * q + y[:, 0] * vi % q, minlength=q * q)
-        J = cyclic_convolve(J, Ji.reshape(q, q))
-    return J
-
-
-def _stationary_cells(gr, vr, p, e):
-    """Non-zero cells (label, s, t, count) of J[label, s, t] over y in [0, p^(e-1))^m.
-
-    The label of y comes from grad g(y) mod p: when v is not 0 (mod p) it is
-    the unit lam with grad g(y) = lam v (mod p), or 0 if there is none; when
-    v = 0 (mod p) it is 1 where grad g(y) = 0 (mod p), else 0.
-    """
-    q = p**e
-    grads = gr.gradient_polys()
-    vp = vr % p
-    lead = np.flatnonzero(vp)
-    parts = []
-    for Y in residue_chunks(p ** (e - 1), len(vr)):
-        G = np.array([eval_mod_vec(d, Y, p) for d in grads]).reshape(len(vr), len(Y))
-        if lead.size:
-            lam = G[lead[0]] * pow(int(vp[lead[0]]), -1, p) % p
-            label = np.where(np.all((G - vp[:, None] * lam) % p == 0, axis=0), lam, 0)
-        else:
-            label = np.all(G == 0, axis=0).astype(np.int64)
-        parts.append(np.unique((label * q + eval_mod_vec(gr, Y, q)) * q + Y @ vr % q,
-                               return_counts=True))
-    keys, inv = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
-    counts = np.bincount(inv, weights=np.concatenate([c for _, c in parts]))
-    return (*np.unravel_index(keys, (p, q, q)), counts)
-
-
-def _phase_histogram(J, u, q):
-    """hist[r] = sum over units a of the cells of J[s, t] at r = a^-1 u + a s - t."""
-    s, t = np.nonzero(J)
-    w = J[s, t].astype(np.float64)
-    hist = np.zeros(q)
-    for a in _units(q):
-        hist += np.bincount((pow(a, -1, q) * u + a * s - t) % q, weights=w, minlength=q)
+    a, abar = _units(q)
+    L = np.empty((q, 2 * q), dtype=np.int32)  # each row twice: L[s, t + r] needs no mod q
+    for s in _blocks(np.arange(q)[:, None], len(a)):
+        w = (s * a + abar * u) % q + (s - s[0]) * q
+        L[s[:, 0], :q] = np.bincount(w.ravel(), minlength=len(s) * q).reshape(-1, q)
+    L[:, q:] = L[:, :q]
+    starts = cells // q * (2 * q) + cells % q
+    hist = np.zeros((len(W), q))
+    for c in _blocks(np.arange(len(cells)), q):
+        hist += W[:, c].astype(np.float64) @ L.ravel()[starts[c, None] + np.arange(q)].astype(float)
     return hist.astype(np.int64)
 
 
-def _stationary_phase_histogram(gr, vr, u, p, e):
-    """The phase histogram at q = p^e (e >= 2) from the cells of `_stationary_cells`.
+def _direct_histograms(gr, V, u, q):
+    """The histograms from J[b, s, t] = #{y : g(y) = s, v_b.y = t}, a scan of all q^m points.
 
-    For a unit a, a cell at r0 = a^-1 u + a s - t is critical when its label
-    is a^-1 mod p (v not 0 mod p) or 1 (v = 0 mod p): then all p^m lifts of
-    its points land on r0.  Any other cell puts p^(m-1) at each of
-    r0 + p^(e-1) k.
+    Chunks of 2^18 rows keep the evaluator's temporaries in cache; a chunk is
+    never smaller than J, whose q^2 cells each bincount writes.
     """
-    q, step, m = p**e, p ** (e - 1), len(vr)
-    label, s, t, w = _stationary_cells(gr, vr, p, e)
-    v_unit = bool((vr % p).any())
-    hist = np.zeros(q)
-    spread = np.zeros(step)
-    for a in _units(q):
-        r0 = (pow(a, -1, q) * u + a * s - t) % q
-        hit = label == (pow(a, -1, p) if v_unit else 1)
-        hist += np.bincount(r0[hit], weights=w[hit], minlength=q)
-        spread += np.bincount(r0[~hit] % step, weights=w[~hit], minlength=step)
-    return (hist * p**m + np.tile(spread, p) * (p**m // p)).astype(np.int64)
+    scan = _scan(q, V.shape[1], max(1 << 18, q * q), lambda Y: eval_mod_vec(gr, Y, q) * q)
+    out = []
+    for Vb in _blocks(V, q * q):
+        J = np.zeros((len(Vb), q * q), dtype=np.int64)
+        for Y, Gq in scan():
+            for b, v in enumerate(Vb):
+                J[b] += np.bincount(Gq + Y @ v % q, minlength=q * q)
+        cells = np.flatnonzero(J.any(axis=0))
+        J = J[:, cells]  # frees the dense J before the contraction
+        out.append(_contract(cells, J, u, q))
+    return np.concatenate(out)
+
+
+def _separable_histograms(gr, V, u, q):
+    """The histograms of a separable g, one (frequency, unit) pair at a time.
+
+    a g(y) - v.y is a sum of one-variable terms, so D[z] = #{y : a (g(y) -
+    g(0)) - v.y = z} is the cyclic convolution of the tables of a g_i(y) -
+    v_i y, and hist[r] sums D[r - a^-1 u - a g(0)] over the units a: (m - 1)
+    q^2 cell updates per pair, `_BLOCK_CELLS` // q pairs at a time.
+    """
+    const, per_var = gr.single_variable_pieces()
+    y = np.arange(q, dtype=np.int64)
+    tables = [eval_mod_vec(Poly(1, {(d,): c for d, c in cmap.items()}), y[:, None], q)
+              for cmap in per_var]
+    a, abar = _units(q)
+    hist = np.zeros(len(V) * q)
+    for pairs in _blocks(np.arange(len(V) * len(a)), q):
+        b, j = np.divmod(pairs, len(a))
+        D, *hs = [np.bincount((np.arange(len(b))[:, None] * q
+                               + (a[j, None] * table - vi[b, None] * y) % q).ravel(),
+                              minlength=len(b) * q).reshape(-1, q)
+                  for table, vi in zip(tables, V.T)]
+        for h in hs:
+            D2 = np.concatenate([D, D], axis=1)  # D2[:, q - w:2q - w] is D rolled by w
+            D = sum(h[:, w, None] * D2[:, q - w:2 * q - w] for w in range(q))
+        r = (y + abar[j, None] * u + const % q * a[j, None]) % q
+        hist += np.bincount((b[:, None] * q + r).ravel(), weights=D.ravel(), minlength=len(V) * q)
+    return hist.astype(np.int64).reshape(len(V), q)
+
+
+def _stationary_histograms(gr, V, u, p, e):
+    """The histograms at q = p^e (e >= 2) by stationary phase.
+
+    With x = y + p^(e-1) z, g(x) = g(y) + p^(e-1) grad g(y).z (mod q), so one
+    scan of y in [0, p^(e-1))^m serves every unit a.  If a grad g(y) = v (mod
+    p), all p^m lifts of y land on r0 = a^-1 u + a g(y) - v.y: y is labelled by
+    the lam with grad g(y) = lam v, critical for the a with a^-1 = lam (mod p),
+    or for v = 0 (mod p) by p where grad g(y) = 0, critical for every a.  Any
+    other (y, a) puts p^(m-1) on each r0 + p^(e-1) k; over all a, r0 mod
+    p^(e-1) is p times the contraction mod p^(e-1), less the critical part.
+    """
+    q, step, m = p**e, p ** (e - 1), V.shape[1]
+    grads = gr.gradient_polys()
+    scan = _scan(step, m, 1 << 18, lambda Y: (
+        np.array([eval_mod_vec(d, Y, p) for d in grads]).reshape(m, len(Y)),
+        eval_mod_vec(gr, Y, q)))
+    a, abar = _units(q)
+    cls = abar % p
+    units = {lam: (a[cls == lam], abar[cls == lam]) for lam in range(1, p)} | {p: (a, abar)}
+    out = []
+    for Vb in _blocks(V, max(q, step * step, step**m)):
+        B = len(Vb)
+        Jstep = np.zeros((B, step * step), dtype=np.int64)
+        keys = []
+        for Y, (G, S) in scan():
+            for b, v in enumerate(Vb):
+                T = Y @ v % q
+                Jstep[b] += np.bincount(S % step * step + T % step, minlength=step * step)
+                vp = v % p
+                lead = np.flatnonzero(vp)
+                lam = (G[lead[0]] * pow(int(vp[lead[0]]), -1, p) % p if lead.size
+                       else np.full(len(Y), p))
+                label = np.where(np.all((G - vp[:, None] * lam) % p == 0, axis=0), lam, 0)
+                keys.append((((b * (p + 1) + label) * q + S) * q + T)[label != 0])
+        keys, w = np.unique(np.concatenate(keys), return_counts=True)
+        rows, label, s, t = np.unravel_index(keys, (B, p + 1, q, q))
+        hit = np.zeros(B * q)
+        for lam in np.unique(label):
+            ua, ub = units[lam]
+            for c in _blocks(np.flatnonzero(label == lam), len(ua)):
+                r = (ub * u + s[c, None] * ua - t[c, None]) % q
+                hit += np.bincount((rows[c, None] * q + r).ravel(),
+                                   weights=np.repeat(w[c], len(ua)), minlength=B * q)
+        hit = hit.astype(np.int64).reshape(B, q)
+        cells = np.flatnonzero(Jstep.any(axis=0))
+        spread = p * _contract(cells, Jstep[:, cells], u % step, step)
+        spread -= hit.reshape(B, p, step).sum(axis=1)
+        out.append(hit * p**m + np.tile(spread, p) * (p**m // p))
+    return np.concatenate(out)
+
+
+def complete_sums(g, u, q, vs, budget=DEFAULT_TERM_BUDGET):
+    """Exact S_u(q; v) with a deterministic phase histogram, for every v in vs.
+
+    g is restricted once to its variables mod q; its values, gradient or
+    tables are computed once for all v.  Exact paths: stationary phase at q =
+    p^e (e >= 2), unless g is separable in three or more variables and that
+    scan exceeds q^3 points; the convolution for such g; else the direct scan.
+    Every sum is checked against `budget` (phi(q) q^n terms) before any work.
+    """
+    specs = [ExpSumSpec(g, u, q, tuple(v)) for v in vs]
+    if not specs:
+        return []
+    n, u, terms = g.n, specs[0].u, euler_phi(q) * q**g.n
+    if q == 1:
+        return [ExpSum(spec, (1,), complex(1.0), "direct", 1) for spec in specs]
+    if terms > budget:
+        raise BudgetExceededError(terms, budget, "complete exponential sum")
+    V = np.array([spec.v for spec in specs], dtype=np.int64)
+    (gr,), used = drop_unused([g], q)
+    (p, e), *others = factorize(q).items()
+    separable = len(used) >= 3 and gr.is_separable()
+    if not others and e >= 2 and (not separable or (q // p) ** len(used) <= q**3):
+        hists = _stationary_histograms(gr, V[:, used], u, p, e)
+    elif separable:
+        hists = _separable_histograms(gr, V[:, used], u, q)
+    else:
+        hists = _direct_histograms(gr, V[:, used], u, q)
+    # a variable that g drops mod q adds v_i y_i, uniform over d Z/q with d = gcd(q, those v_i)
+    ds = np.gcd.reduce(np.delete(V, used, axis=1), axis=1, initial=q)
+    out = []
+    for spec, hist, d in zip(specs, hists, ds):
+        hist = np.tile(hist.reshape(-1, d).sum(axis=0), q // d) * (q ** (n - len(used)) * d // q)
+        if int(hist.sum()) != terms:
+            raise RuntimeError(f"histogram mass {int(hist.sum())} is not phi(q) q^n = {terms}")
+        out.append(ExpSum(spec, tuple(int(x) for x in hist),
+                          complex(np.dot(hist, _roots_of_unity(q))), "direct", terms))
+    return out
 
 
 def complete_sum(spec, budget=DEFAULT_TERM_BUDGET):
-    """Exact S_u(q; v) with a deterministic phase histogram.
-
-    The histogram is sum over units a of J[s, t] at a^-1 u + a s - t, where
-    J[s, t] = #{y mod q : g(y) = s, v.y = t}.  Variables absent from g and v
-    mod q are dropped (a factor q each), and J comes from the first path that
-    applies, all exact:
-    - separable g with three or more variables left: J is the 2-D cyclic
-      convolution of the one-variable tables, about m q^3 cell updates;
-    - q = p^e with e >= 2 (stationary phase): with x = y + p^(e-1) z,
-      g(x) = g(y) + p^(e-1) grad g(y).z (mod q), so for each a the p^m lifts
-      of y land together on r0 when a grad g(y) = v (mod p), and spread
-      evenly over r0 + p^(e-1) k otherwise; one scan of p^((e-1)m) points
-      labelled by grad g(y) mod p gives every a;
-    - otherwise the direct scan of all q^m points.
-    """
-    g, u, q = spec.g, spec.u, spec.q
-    n = g.n
-    phi = euler_phi(q)
-    terms = phi * q**n
-    if q == 1:
-        return ExpSum(spec, (1,), complex(1.0), "direct", 1)
-    if terms > budget:
-        raise BudgetExceededError(terms, budget, "complete exponential sum")
-    gr, vr, dropped = _restrict(spec)
-    factors = factorize(q)
-    p, e = next(iter(factors.items()))
-    if len(vr) >= 3 and gr.is_separable():
-        hist = _phase_histogram(_separable_joint_histogram(gr, vr, q), u, q)
-    elif len(factors) == 1 and e >= 2:
-        hist = _stationary_phase_histogram(gr, vr, u, p, e)
-    else:
-        hist = _phase_histogram(_joint_histogram(gr, vr, q), u, q)
-    hist *= q**dropped
-    if int(hist.sum()) != terms:
-        raise RuntimeError(f"histogram mass {int(hist.sum())} is not phi(q) q^n = {terms}")
-    value = complex(np.dot(hist, _roots_of_unity(q)))
-    return ExpSum(spec, tuple(int(x) for x in hist), value, "direct", terms)
+    """Exact S_u(q; v): `complete_sums` at the one frequency v."""
+    return complete_sums(spec.g, spec.u, spec.q, [spec.v], budget)[0]
 
 
 def crt_sum(spec, budget=DEFAULT_TERM_BUDGET):
@@ -277,8 +328,7 @@ def su_qz(g, u, q, z, ctx, budget=DEFAULT_TERM_BUDGET):
     roots = _roots_of_unity(q)
     gmod = gv % q
     total = complex(0.0)
-    for a in _units(q):
-        abar = pow(a, -1, q)
+    for a, abar in zip(*_units(q)):
         inner = np.sum(base * roots[(a * gmod) % q])
         total += roots[(abar * (u % q)) % q] * inner
     return total
@@ -551,15 +601,11 @@ def box_sum_diagnostic(g, u, q, v0, V, A=1.0, budget=DEFAULT_TERM_BUDGET):
     n = g.n
     if len(v0) != n:
         raise InputError("v0 has wrong length")
-    cache = {}
-    total = 0.0
-    count = 0
-    for offs in iproduct(range(-V, V + 1), repeat=n):
-        v = tuple((int(v0[i]) + offs[i]) % q for i in range(n))
-        if v not in cache:
-            cache[v] = abs(complete_sum(ExpSumSpec(g, u, q, v), budget).value)
-        total += cache[v]
-        count += 1
+    box = [tuple((int(v0[i]) + offs[i]) % q for i in range(n))
+           for offs in iproduct(range(-V, V + 1), repeat=n)]
+    sums = {res.spec.v: abs(res.value)
+            for res in complete_sums(g, u, q, list(dict.fromkeys(box)), budget)}
+    total = sum(sums[v] for v in box)
     envelope = A ** omega(q) * log(q + 1) ** (2 * n) * q ** (n / 2 + 1) * (V**n + q ** (n / 3))
     return BoxSumReport(q, u % q, tuple(int(x) for x in v0), V, total, envelope,
                         total / envelope, A)

@@ -15,7 +15,7 @@ from itertools import product
 
 from .arch import DEFAULT_LATTICE_BUDGET, osc_integral_batch, tensor_grid_points
 from .errors import InputError
-from .expsums import DEFAULT_TERM_BUDGET, ExpSumSpec, complete_sum, su_qz
+from .expsums import DEFAULT_TERM_BUDGET, complete_sums, su_qz
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,8 @@ def poisson_check(g, u, q, z, ctx, V=None, budget=DEFAULT_TERM_BUDGET):
     if V is None:
         V = guided_V(ctx, q, z)
     lhs = su_qz(g, u, q, z, ctx, budget)
-    sums = {}
-    for vres in product(range(q), repeat=n):
-        sums[vres] = complete_sum(ExpSumSpec(g, u, q, vres), budget).value
+    sums = {res.spec.v: res.value
+            for res in complete_sums(g, u, q, product(range(q), repeat=n), budget)}
     vs = list(product(range(-V, V + 1), repeat=n))
     betas = [tuple(x / q for x in v) for v in vs]
     grid_budget = min(budget, DEFAULT_LATTICE_BUDGET)

@@ -153,8 +153,11 @@ class CubicPolynomial:
     # -- structure ---------------------------------------------------------
 
     def cubic_part(self):
-        """The leading form g0, as a cubic with empty lower parts."""
-        return CubicPolynomial(self.n, self.cubic)
+        """The leading form g0, as a cubic with empty lower parts (validated once, in g)."""
+        g0 = object.__new__(CubicPolynomial)
+        for name, value in zip(self.__slots__, (self.n, dict(self.cubic), {}, (0,) * self.n, 0)):
+            object.__setattr__(g0, name, value)
+        return g0
 
     def homogenize(self):
         """g~(z, x) := z^3 g(x/z), with the homogenizing variable first (index 1)."""

@@ -1,12 +1,13 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
 from cubicpoints.errors import InputError
-from cubicpoints.expsums import _joint_histogram, _restrict
 from cubicpoints.finitefield import DEFAULT_POINT_BUDGET, ExtField, count_affine_zeros
 from cubicpoints.polynomials import CubicPolynomial
+from cubicpoints.residues import eval_mod_vec
 
 
 def diag_cubic(n, const=0, coeffs=None):
@@ -55,16 +56,16 @@ def deligne_defect(F, p, j, s, budget=DEFAULT_POINT_BUDGET):
 
 
 def oracle_histogram(spec):
-    """The phase histogram from the direct scan `_joint_histogram`, added up cell by cell."""
-    q, u = spec.q, spec.u
-    gr, vr, dropped = _restrict(spec)
-    J = _joint_histogram(gr, vr, q)
-    s, t = np.nonzero(J)
+    """The phase histogram of S_u(q; v) by a scan of every y mod q, added up unit by unit."""
+    g, q, u = spec.g, spec.q, spec.u
+    Y = np.array(list(product(range(q), repeat=g.n)), dtype=np.int64)
+    s = eval_mod_vec(g, Y, q)
+    t = Y @ np.array(spec.v, dtype=np.int64) % q
     hist = np.zeros(q, dtype=np.int64)
-    for a in range(1, q):
+    for a in range(1, q + 1):
         if math.gcd(a, q) == 1:
-            np.add.at(hist, (pow(a, -1, q) * u + a * s - t) % q, J[s, t])
-    return tuple(int(x) * q**dropped for x in hist)
+            np.add.at(hist, (pow(a, -1, q) * u + a * s - t) % q, 1)
+    return tuple(int(x) for x in hist)
 
 
 @pytest.fixture

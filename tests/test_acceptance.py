@@ -7,6 +7,7 @@ where floating point or truncation enters.
 
 import math
 import os
+import struct
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import deligne_defect, diag_cubic, random_cubic
-from cubicpoints.arch import (ArchContext, main_term_report, osc_integral_I)
+from cubicpoints.arch import (ArchContext, count_N, main_term_report, osc_integral_I)
 from cubicpoints.expsums import (ExpSumSpec, M_split_identity_check,
                                  complete_sum, count_M, crt_sum, ntilde,
                                  squarefull_parts, theta_p)
@@ -260,9 +261,10 @@ def test_weighted_count_bit_identical_across_thread_caps():
         "ctx = ArchContext.create(9.0, (1.0, 1.0, 1.26))\n"
         "print(struct.pack('<d', count_N(g, ctx)).hex())\n")
     outs = set()
-    for threads in ("1", "2", "8"):
-        env = dict(os.environ, CUBIC_THREADS=threads)
+    for threads in ("1", "2", "8"):  # the BLAS thread caps numpy reads at import
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
         r = subprocess.run([sys.executable, "-c", code], env=env,
                            capture_output=True, text=True, check=True)
         outs.add(r.stdout.strip())
-    assert len(outs) == 1
+    g = CubicPolynomial.from_terms(3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): -1, (0, 0, 0): -1})
+    assert outs == {struct.pack("<d", count_N(g, ArchContext.create(9.0, (1.0, 1.0, 1.26)))).hex()}

@@ -1,5 +1,6 @@
 import math
 import os
+import struct
 import subprocess
 import sys
 from itertools import product
@@ -109,7 +110,7 @@ def test_count_N_matches_diagonal_oracle():
     assert count_N(g, ctx) == pytest.approx(expected, abs=0.0)
 
 
-def test_count_N_bit_identical_across_thread_env(seven_var_corpus):
+def test_count_N_bit_identical_across_thread_env():
     code = (
         "from cubicpoints.arch import ArchContext, count_N\n"
         "from cubicpoints.polynomials import CubicPolynomial\n"
@@ -118,12 +119,13 @@ def test_count_N_bit_identical_across_thread_env(seven_var_corpus):
         "ctx = ArchContext.create(8.0, (1.0, 1.0))\n"
         "print(struct.pack('<d', count_N(g, ctx)).hex())\n")
     outs = set()
-    for threads in ("1", "4"):
-        env = dict(os.environ, CUBIC_THREADS=threads)
+    for threads in ("1", "4"):  # the BLAS thread caps numpy reads at import
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
         r = subprocess.run([sys.executable, "-c", code], env=env,
                            capture_output=True, text=True, check=True)
         outs.add(r.stdout.strip())
-    assert len(outs) == 1
+    g = CubicPolynomial.from_terms(2, {(3, 0): 1, (0, 3): -1})
+    assert outs == {struct.pack("<d", count_N(g, ArchContext.create(8.0, (1.0, 1.0)))).hex()}
 
 
 def test_default_z_grid_shape():

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 from conftest import diag_cubic, oracle_histogram, random_cubic
 from cubicpoints.cli import run
-from cubicpoints.expsums import ExpSumSpec, _roots_of_unity
+from cubicpoints.expsums import ExpSumSpec, _roots_of_unity, complete_sum
+from cubicpoints.finitefield import primes_upto
+from cubicpoints.geometry import section_smooth
 from cubicpoints.polynomials import CubicPolynomial, watson_polynomial
 
 
@@ -190,6 +193,51 @@ def test_slice_produce_and_verify(tmp_path, seven_var_corpus, capsys):
 def test_negative_bounds_rejected(poly_file):
     path = poly_file(diag_cubic(2))
     assert run(["congruence", "-f", path, "--pmax", "-3"]) == 1
+
+
+def _bounds_sweeps_one_frequency_at_a_time(g, pmax, seed=0):
+    """The prime sweeps and smooth-section sums of `cubic bounds`, one complete_sum per v."""
+    n = g.n
+    rng = np.random.default_rng(seed)
+    ratio_sweep, dichotomy = [], []
+    for p in [p for p in primes_upto(pmax) if p % 2 and p % 3]:
+        worst = 0.0
+        for u in (1, 2):
+            for _ in range(min(50, p**n)):
+                v = tuple(int(x) for x in rng.integers(0, p, size=n))
+                val = abs(complete_sum(ExpSumSpec(g, u, p, v)).value)
+                worst = max(worst, val / p ** ((n + 1) / 2))
+        ratio_sweep.append({"p": p, "max_ratio": worst, "ok": worst <= 10.0})
+        smooth_worst = 0.0
+        for _ in range(min(20, p**n)):
+            v = tuple(int(x) for x in rng.integers(0, p, size=n))
+            if any(x % p for x in v) and section_smooth(g.cubic_part(), v, p):
+                val = abs(complete_sum(ExpSumSpec(g, 0, p, v)).value)
+                smooth_worst = max(smooth_worst, val / p ** ((n + 1) / 2))
+        dichotomy.append({"p": p, "max_smooth_ratio": smooth_worst, "ok": smooth_worst <= 10.0})
+    return ratio_sweep, dichotomy
+
+
+def _box_total_one_frequency_at_a_time(g, q, V):
+    return sum(abs(complete_sum(ExpSumSpec(g, 1, q, v)).value)
+               for v in product(range(-V, V + 1), repeat=g.n))
+
+
+@pytest.mark.parametrize("g", [
+    CubicPolynomial.from_terms(2, {(3, 0): 1, (0, 3): 1, (1, 1): 1, (0, 0): 1}),
+    random_cubic(np.random.default_rng(3), 2),
+], ids=["mixed2", "dense2"])
+def test_bounds_sweeps_match_sums_taken_one_frequency_at_a_time(poly_file, capsys, g):
+    code = run(["bounds", "-f", poly_file(g), "--pmax", "13", "--deterministic"])
+    out = json.loads(capsys.readouterr().out)
+    ratio_sweep, dichotomy = _bounds_sweeps_one_frequency_at_a_time(g, 13)
+    assert out["prime_ratio_sweep"] == ratio_sweep
+    assert out["smooth_section_dichotomy"] == dichotomy
+    assert [r["q"] for r in out["square_full_envelope"]] == [25, 49, 121]
+    for rep in out["square_full_envelope"]:
+        assert rep["total"] == _box_total_one_frequency_at_a_time(g, rep["q"], 2)
+    ok = all(r["ok"] for r in ratio_sweep + dichotomy + out["square_full_parts"])
+    assert code == (0 if ok else 3)
 
 
 def test_poisson_beyond_int64_is_input_error(poly_file, capsys):

@@ -1,4 +1,5 @@
 import cmath
+import contextlib
 import math
 from itertools import product
 from unittest import mock
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import diag_cubic, oracle_histogram, random_cubic
 from cubicpoints import expsums
-from cubicpoints.arith import euler_phi
+from cubicpoints.arith import euler_phi, factorize
 from cubicpoints.errors import BudgetExceededError, InputError
 from cubicpoints.expsums import (ExpSumSpec, M_split_identity_check,
                                  _eval_int_vec, box_sum_diagnostic, complete_sum, count_M,
@@ -106,9 +107,12 @@ def _draw_cubic(data, n, q, monomials):
     return CubicPolynomial.from_terms(n, terms)
 
 
+def _without(name):
+    return mock.patch.object(expsums, name, side_effect=AssertionError(f"{name} used"))
+
+
 def _without_direct_scan():
-    return mock.patch.object(expsums, "_joint_histogram",
-                             side_effect=AssertionError("direct scan used"))
+    return _without("_direct_histograms")
 
 
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(2, 4), st.data())
@@ -139,8 +143,10 @@ def test_separable_convolution_matches_direct_scan(n, q, data):
     v = data.draw(st.lists(st.integers(0, q - 1) | st.just(0), min_size=n, max_size=n))
     spec = ExpSumSpec(g, data.draw(st.integers(0, q - 1)), q, tuple(v))
     expected = oracle_histogram(spec)
-    with _without_direct_scan(), mock.patch.object(
-            expsums, "_stationary_cells", side_effect=AssertionError("stationary phase used")):
+    # at p^e (e >= 2) a separable g takes stationary phase when that scan is at most q^3 points
+    (p, e), *others = factorize(q).items()
+    stationary = _without("_stationary_histograms") if others or e == 1 else contextlib.nullcontext()
+    with _without_direct_scan(), stationary:
         assert complete_sum(spec).histogram == expected
 
 
@@ -155,10 +161,85 @@ def test_stationary_phase_when_every_variable_drops(q, v):
             assert complete_sum(spec).histogram == expected
 
 
+_PATHS = {"direct": "_direct_histograms", "stationary": "_stationary_histograms",
+          "separable": "_separable_histograms"}
+
+
+@given(st.sampled_from(sorted(_PATHS)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_complete_sums_match_the_oracle_at_every_frequency(path, data):
+    # g lives on x1..xn; an extra last variable has coefficients divisible by q, so g
+    # drops it mod q and only the frequencies that touch it keep it
+    if path == "stationary":
+        p, e = data.draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)]))
+        q = p**e
+        n = data.draw(st.integers(1, 2))
+        monomials = [x for x in product(range(4), repeat=n) if sum(x) <= 3]
+    elif path == "separable":
+        q = data.draw(st.sampled_from([5, 6, 7, 10]))
+        n = 3
+        monomials = [tuple(d if j == i else 0 for j in range(n)) for i in range(n) for d in (1, 2, 3)]
+    else:
+        q = data.draw(st.sampled_from([2, 3, 5, 6, 7, 10, 12]))
+        n = data.draw(st.integers(1, 2))
+        monomials = [x for x in product(range(4), repeat=n) if sum(x) <= 3]
+    g = _draw_cubic(data, n, q, monomials + [(0,) * n])
+    terms = {e + (0,): c for e, c in g.to_generic().terms.items()}
+    if path == "separable":  # every variable keeps a unit cubic coefficient: three kept variables
+        terms.update({tuple(3 * (j == i) for j in range(n + 1)): 1 for i in range(n)})
+    if path == "direct" and n == 2:  # a unit cross term: not separable
+        terms[(1, 1, 0)] = 1
+    extra = data.draw(st.sampled_from([(0,) * n + (3,), (1,) + (0,) * (n - 1) + (2,),
+                                       (0,) * n + (1,)]))
+    terms[extra] = q * data.draw(st.integers(1, 3))
+    g = CubicPolynomial.from_terms(n + 1, terms)
+    freq = st.lists(st.integers(-q, 2 * q), min_size=n + 1, max_size=n + 1).map(tuple)
+    vs = data.draw(st.lists(freq | st.just((0,) * (n + 1)) | st.just((q,) * (n + 1)),
+                            min_size=1, max_size=8))
+    vs += data.draw(st.lists(st.sampled_from(vs), max_size=3))  # repeated frequencies
+    u = data.draw(st.integers(-q, 2 * q))
+    others = [_without(name) for key, name in _PATHS.items() if key != path]
+    with others[0], others[1]:
+        sums = expsums.complete_sums(g, u, q, vs)
+    assert len(sums) == len(vs)
+    for v, res in zip(vs, sums):
+        spec = ExpSumSpec(g, u, q, v)
+        assert res.spec == spec
+        assert res.histogram == oracle_histogram(spec)
+        one = complete_sum(spec)
+        assert (res.value, res.method, res.terms) == (one.value, one.method, one.terms)
+
+
+def test_complete_sums_checks_the_budget_before_any_work(mixed2):
+    paths = [_without(name) for name in _PATHS.values()]
+    with paths[0], paths[1], paths[2], pytest.raises(BudgetExceededError) as err:
+        expsums.complete_sums(mixed2, 1, 101, [(0, 0), (1, 2)], budget=1000)
+    assert (err.value.required, err.value.allowed) == (100 * 101**2, 1000)
+    assert expsums.complete_sums(mixed2, 1, 101, [], budget=1000) == []
+
+
+def test_complete_sums_memory_stays_within_blocks():
+    # q^2 = 44,521 cells per frequency: the 211 frequencies go through in blocks,
+    # and the contraction never holds the q^3 table (75 MB of float64 at q = 211)
+    import tracemalloc
+
+    q = 211
+    g = CubicPolynomial.from_terms(1, {(3,): 1, (1,): 2, (0,): 1})
+    vs = [(v,) for v in range(q)]
+    tracemalloc.start()
+    try:
+        sums = expsums.complete_sums(g, 1, q, vs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sums[5].histogram == complete_sum(ExpSumSpec(g, 1, q, (5,))).histogram
+    assert peak < 8 * (6 * expsums._BLOCK_CELLS + 4 * q * q)
+
+
 def test_histogram_mass_check_survives_optimized_mode(mixed2):
     spec = ExpSumSpec(mixed2, 1, 7, (1, 2))
-    with mock.patch.object(expsums, "_phase_histogram",
-                           return_value=np.zeros(7, dtype=np.int64)):
+    with mock.patch.object(expsums, "_contract",
+                           return_value=np.zeros((1, 7), dtype=np.int64)):
         with pytest.raises(RuntimeError):
             complete_sum(spec)
 

@@ -37,7 +37,8 @@ def test_tracer_installs_and_reports_every_declared_layer_metric(tracer):
     g = diag_cubic(3, const=-2)
     ctx = arch.find_x0(g.cubic_part(), 8, seed=0)
     arch.count_N(g, ctx)
-    expsums.box_sum_diagnostic(g, 1, 9, (0, 0, 0), 1)
+    expsums.box_sum_diagnostic(g, 1, 9, (0, 0, 0), 1)  # sums its box through complete_sums
+    expsums.complete_sum(expsums.ExpSumSpec(g, 1, 9, (1, 0, 0)))
     fld = finitefield.ExtField(5, 2)
     finitefield.count_zeros_system([Poly(2, {(3, 0): 1, (1, 1): 1, (0, 3): 2})], fld)
     metrics = tracer.layer_metrics()

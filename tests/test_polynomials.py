@@ -157,6 +157,22 @@ def test_leading_form_and_homogenization_are_cubics_with_empty_lower_parts(rng):
     assert g.cubic_part().cubic_part() == g.cubic_part()
 
 
+@given(st.integers(1, 4), st.integers(0, 2**32))
+@settings(max_examples=30, deadline=None)
+def test_cubic_part_equals_the_validated_construction(n, seed):
+    g = random_cubic(np.random.default_rng(seed), n)
+    g0 = g.cubic_part()
+    built = CubicPolynomial(n, g.cubic)
+    assert g0 == built and hash(g0) == hash(built)
+    assert (g0.n, g0.cubic, g0.quad, g0.lin, g0.const) == (
+        built.n, built.cubic, built.quad, built.lin, built.const)
+    assert g0.cubic is not g.cubic  # its own copy, as __init__ makes
+    with pytest.raises(AttributeError):
+        g0.const = 1
+    with pytest.raises(AttributeError):
+        g0.n = n + 1
+
+
 # Independent float oracles for the real-point path: plain loops over the
 # cubic part of a form, in its term order.
 
