@@ -23,6 +23,7 @@ identity, and the square-full decomposition q = q1^2 q2 of a modulus.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd, log
 
 import numpy as np
@@ -120,10 +121,10 @@ def _contract(cells, W, u, q):
         w = (s * a + abar * u) % q + (s - s[0]) * q
         L[s[:, 0], :q] = np.bincount(w.ravel(), minlength=len(s) * q).reshape(-1, q)
     L[:, q:] = L[:, :q]
-    starts = cells // q * (2 * q) + cells % q
+    rows = np.lib.stride_tricks.sliding_window_view(L, q, axis=1)  # rows[s, t] = L[s, t:t + q]
     hist = np.zeros((len(W), q))
     for c in _blocks(np.arange(len(cells)), q):
-        hist += W[:, c].astype(np.float64) @ L.ravel()[starts[c, None] + np.arange(q)].astype(float)
+        hist += W[:, c].astype(np.float64) @ rows[cells[c] // q, cells[c] % q].astype(float)
     return hist.astype(np.int64)
 
 
@@ -211,7 +212,7 @@ def _stationary_histograms(gr, V, u, p, e):
         keys, w = np.unique(np.concatenate(keys), return_counts=True)
         rows, label, s, t = np.unravel_index(keys, (B, p + 1, q, q))
         hit = np.zeros(B * q)
-        for lam in np.unique(label):
+        for lam in np.flatnonzero(np.bincount(label)):  # np.unique imports numpy.ma: 10 ms
             ua, ub = units[lam]
             for c in _blocks(np.flatnonzero(label == lam), len(ua)):
                 r = (ub * u + s[c, None] * ua - t[c, None]) % q
@@ -230,25 +231,22 @@ def complete_sums(g, u, q, vs, budget=DEFAULT_TERM_BUDGET):
 
     g is restricted once to its variables mod q; its values, gradient or
     tables are computed once for all v.  Exact paths: stationary phase at q =
-    p^e (e >= 2), unless g is separable in three or more variables and that
-    scan exceeds q^3 points; the convolution for such g; else the direct scan.
+    p^e (e >= 2); else the convolution for g separable in three or more
+    variables; else the direct scan.
     Every sum is checked against `budget` (phi(q) q^n terms) before any work.
     """
     specs = [ExpSumSpec(g, u, q, tuple(v)) for v in vs]
-    if not specs:
-        return []
-    n, u, terms = g.n, specs[0].u, euler_phi(q) * q**g.n
-    if q == 1:
+    if q == 1 or not specs:
         return [ExpSum(spec, (1,), complex(1.0), "direct", 1) for spec in specs]
+    n, u, terms = g.n, specs[0].u, euler_phi(q) * q**g.n
     if terms > budget:
         raise BudgetExceededError(terms, budget, "complete exponential sum")
     V = np.array([spec.v for spec in specs], dtype=np.int64)
     (gr,), used = drop_unused([g], q)
     (p, e), *others = factorize(q).items()
-    separable = len(used) >= 3 and gr.is_separable()
-    if not others and e >= 2 and (not separable or (q // p) ** len(used) <= q**3):
+    if not others and e >= 2:
         hists = _stationary_histograms(gr, V[:, used], u, p, e)
-    elif separable:
+    elif len(used) >= 3 and gr.is_separable():
         hists = _separable_histograms(gr, V[:, used], u, q)
     else:
         hists = _direct_histograms(gr, V[:, used], u, q)
@@ -594,15 +592,13 @@ def box_sum_diagnostic(g, u, q, v0, V, A=1.0, budget=DEFAULT_TERM_BUDGET):
     The envelope A^omega(q) (log(q+1))^{2n} q^{n/2+1} (V^n + q^{n/3}) has a
     non-effective constant A; it is reported, never asserted.
     """
-    from itertools import product as iproduct
-
     if not is_squarefull(q):
         raise InputError("box-sum diagnostic requires a square-full modulus")
     n = g.n
     if len(v0) != n:
         raise InputError("v0 has wrong length")
     box = [tuple((int(v0[i]) + offs[i]) % q for i in range(n))
-           for offs in iproduct(range(-V, V + 1), repeat=n)]
+           for offs in product(range(-V, V + 1), repeat=n)]
     sums = {res.spec.v: abs(res.value)
             for res in complete_sums(g, u, q, list(dict.fromkeys(box)), budget)}
     total = sum(sums[v] for v in box)

@@ -155,7 +155,8 @@ class CubicPolynomial:
     def cubic_part(self):
         """The leading form g0, as a cubic with empty lower parts (validated once, in g)."""
         g0 = object.__new__(CubicPolynomial)
-        for name, value in zip(self.__slots__, (self.n, dict(self.cubic), {}, (0,) * self.n, 0)):
+        parts = {"n": self.n, "cubic": dict(self.cubic), "quad": {}, "lin": (0,) * self.n, "const": 0}
+        for name, value in parts.items():
             object.__setattr__(g0, name, value)
         return g0
 

@@ -143,7 +143,7 @@ def test_separable_convolution_matches_direct_scan(n, q, data):
     v = data.draw(st.lists(st.integers(0, q - 1) | st.just(0), min_size=n, max_size=n))
     spec = ExpSumSpec(g, data.draw(st.integers(0, q - 1)), q, tuple(v))
     expected = oracle_histogram(spec)
-    # at p^e (e >= 2) a separable g takes stationary phase when that scan is at most q^3 points
+    # at p^e (e >= 2) every g takes stationary phase
     (p, e), *others = factorize(q).items()
     stationary = _without("_stationary_histograms") if others or e == 1 else contextlib.nullcontext()
     with _without_direct_scan(), stationary:
