@@ -7,7 +7,7 @@ from .errors import (AmbiguityError, BudgetExceededError, DegenerateSliceError,
                      InputError, NonLiftableError, SearchFailureError)
 from .expsums import (ExpSum, ExpSumSpec, M_split_identity_check, complete_sum,
                       count_M, crt_sum, expsum_auto, ntilde, squarefull_parts,
-                      theta_p, weighted_sum_S)
+                      theta_p)
 from .padic import (CongruenceVerdict, PAdicWitness, congruence_condition,
                     count_zeros_mod_pk, hensel_lift, local_density,
                     nonsingular_zero_search)
@@ -25,7 +25,7 @@ __all__ = [
     "InputError", "NonLiftableError", "SearchFailureError",
     "ExpSum", "ExpSumSpec", "M_split_identity_check", "complete_sum",
     "count_M", "crt_sum", "expsum_auto", "ntilde", "squarefull_parts",
-    "theta_p", "weighted_sum_S",
+    "theta_p",
     "CongruenceVerdict", "PAdicWitness", "congruence_condition",
     "count_zeros_mod_pk", "hensel_lift", "local_density",
     "nonsingular_zero_search",

@@ -8,16 +8,16 @@ The central object is
 kept exact as a length-q histogram of phase residues (the sum equals
 sum_r hist[r] e_q(r)); the complex value is one final contraction against
 precomputed q-th roots of unity.  `complete_sums` takes many frequencies v at
-one modulus: what depends on g alone is computed once, and the frequencies go
-through in blocks of bounded memory.  Its exact paths: stationary phase
+one modulus, in blocks of bounded memory.  Its exact paths: stationary phase
 (g(y + p^(e-1) z) = g(y) + p^(e-1) grad g(y).z mod p^e) at q = p^e, e >= 2;
 one-variable tables convolved per unit a for separable g; otherwise the scan
 of J[s, t] = #{y : g(y) = s, v.y = t}, contracted for a whole block as the
-sum of J[s, t] L[s, t + r] with L[s, w] = #{units a : a s + a^-1 u = w}.  A CRT
-fast path splits composite moduli into prime-power pieces.  The module also
-carries the auxiliary counting quantities used alongside these sums: the
-kernel-count N~(q), the lifting counts M(p^f; k) with their telescoping
-identity, and the square-full decomposition q = q1^2 q2 of a modulus.
+sum of J[s, t] L[s, t + r] with L[s, w] = #{units a : a s + a^-1 u = w}.  Both
+scans read g, grad g and v.y from the grid kernel `residues.grid_values`.  A
+CRT fast path splits composite moduli into prime-power pieces.  The module
+also carries the counts used alongside these sums: the kernel-count N~(q),
+the lifting counts M(p^f; k) with their telescoping identity, and the
+square-full decomposition q = q1^2 q2 of a modulus.
 """
 
 from dataclasses import dataclass
@@ -32,8 +32,8 @@ from .arith import euler_phi, factorize, is_squarefull, omega, ramanujan_prime_p
 from .errors import BudgetExceededError, InputError
 from .generic import Poly
 from .intlinalg import smith_diagonal
-from .residues import (drop_unused, eval_mod_vec, residue_chunks, valuation_histogram,
-                       zero_count)
+from .residues import (GRID_BLOCK, drop_unused, eval_mod_vec, grid_values, residue_chunks,
+                       valuation_histogram, zero_count)
 
 DEFAULT_TERM_BUDGET = 10**9
 _BLOCK_CELLS = 1 << 18  # cells of the largest array one block of frequencies holds
@@ -98,14 +98,6 @@ def _blocks(rows, cells):
     return [rows[i:i + size] for i in range(0, len(rows), size)]
 
 
-def _scan(q, m, rows, evaluate):
-    """Re-iterable chunks (Y, evaluate(Y)) of (Z/q)^m; a single chunk is evaluated once."""
-    if q**m <= rows:
-        done = [(Y, evaluate(Y)) for Y in residue_chunks(q, m, chunk=rows)]
-        return lambda: done
-    return lambda: ((Y, evaluate(Y)) for Y in residue_chunks(q, m, chunk=rows))
-
-
 def _contract(cells, W, u, q):
     """hist[b, r] = sum over units a and cells c = s q + t of W[b, c] at r = a^-1 u + a s - t.
 
@@ -131,16 +123,15 @@ def _contract(cells, W, u, q):
 def _direct_histograms(gr, V, u, q):
     """The histograms from J[b, s, t] = #{y : g(y) = s, v_b.y = t}, a scan of all q^m points.
 
-    Chunks of 2^18 rows keep the evaluator's temporaries in cache; a chunk is
-    never smaller than J, whose q^2 cells each bincount writes.
+    g and the labels v_b.y come a block of `grid_values` at a time, and one
+    bincount per block fills J for a whole block of frequencies.
     """
-    scan = _scan(q, V.shape[1], max(1 << 18, q * q), lambda Y: eval_mod_vec(gr, Y, q) * q)
     out = []
-    for Vb in _blocks(V, q * q):
+    for Vb in _blocks(V, max(q * q, min(q ** V.shape[1], GRID_BLOCK))):
         J = np.zeros((len(Vb), q * q), dtype=np.int64)
-        for Y, Gq in scan():
-            for b, v in enumerate(Vb):
-                J[b] += np.bincount(Gq + Y @ v % q, minlength=q * q)
+        for G, T in zip(grid_values([gr], q, q), grid_values(Vb, q, q)):
+            keys = G * q + T + np.arange(len(Vb))[:, None] * (q * q)
+            J += np.bincount(keys.ravel(), minlength=J.size).reshape(J.shape)
         cells = np.flatnonzero(J.any(axis=0))
         J = J[:, cells]  # frees the dense J before the contraction
         out.append(_contract(cells, J, u, q))
@@ -187,10 +178,7 @@ def _stationary_histograms(gr, V, u, p, e):
     p^(e-1) is p times the contraction mod p^(e-1), less the critical part.
     """
     q, step, m = p**e, p ** (e - 1), V.shape[1]
-    grads = gr.gradient_polys()
-    scan = _scan(step, m, 1 << 18, lambda Y: (
-        np.array([eval_mod_vec(d, Y, p) for d in grads]).reshape(m, len(Y)),
-        eval_mod_vec(gr, Y, q)))
+    polys = [gr] + gr.gradient_polys()
     a, abar = _units(q)
     cls = abar % p
     units = {lam: (a[cls == lam], abar[cls == lam]) for lam in range(1, p)} | {p: (a, abar)}
@@ -199,16 +187,15 @@ def _stationary_histograms(gr, V, u, p, e):
         B = len(Vb)
         Jstep = np.zeros((B, step * step), dtype=np.int64)
         keys = []
-        for Y, (G, S) in scan():
-            for b, v in enumerate(Vb):
-                T = Y @ v % q
-                Jstep[b] += np.bincount(S % step * step + T % step, minlength=step * step)
-                vp = v % p
+        for vals, T in zip(grid_values(polys, q, step), grid_values(Vb, q, step)):
+            S, G = vals[0], vals[1:] % p
+            for b, (vp, Tb) in enumerate(zip(Vb % p, T)):
+                Jstep[b] += np.bincount(S % step * step + Tb % step, minlength=step * step)
                 lead = np.flatnonzero(vp)
                 lam = (G[lead[0]] * pow(int(vp[lead[0]]), -1, p) % p if lead.size
-                       else np.full(len(Y), p))
+                       else np.full(len(S), p))
                 label = np.where(np.all((G - vp[:, None] * lam) % p == 0, axis=0), lam, 0)
-                keys.append((((b * (p + 1) + label) * q + S) * q + T)[label != 0])
+                keys.append((((b * (p + 1) + label) * q + S) * q + Tb)[label != 0])
         keys, w = np.unique(np.concatenate(keys), return_counts=True)
         rows, label, s, t = np.unravel_index(keys, (B, p + 1, q, q))
         hit = np.zeros(B * q)
@@ -229,8 +216,8 @@ def _stationary_histograms(gr, V, u, p, e):
 def complete_sums(g, u, q, vs, budget=DEFAULT_TERM_BUDGET):
     """Exact S_u(q; v) with a deterministic phase histogram, for every v in vs.
 
-    g is restricted once to its variables mod q; its values, gradient or
-    tables are computed once for all v.  Exact paths: stationary phase at q =
+    g is restricted once to its variables mod q; a block of frequencies takes
+    one scan of its values and gradient, or its tables.  Paths: stationary at q =
     p^e (e >= 2); else the convolution for g separable in three or more
     variables; else the direct scan.
     Every sum is checked against `budget` (phi(q) q^n terms) before any work.
@@ -253,8 +240,9 @@ def complete_sums(g, u, q, vs, budget=DEFAULT_TERM_BUDGET):
     # a variable that g drops mod q adds v_i y_i, uniform over d Z/q with d = gcd(q, those v_i)
     ds = np.gcd.reduce(np.delete(V, used, axis=1), axis=1, initial=q)
     out = []
-    for spec, hist, d in zip(specs, hists, ds):
-        hist = np.tile(hist.reshape(-1, d).sum(axis=0), q // d) * (q ** (n - len(used)) * d // q)
+    for spec, hist, d in zip(specs, hists, ds.tolist()):
+        hist = np.tile(hist.reshape(-1, d).sum(axis=0), q // d)  # Python integers past 2^63
+        hist = hist.astype(np.int64 if terms < 2**63 else object) * (q ** (n - len(used)) * d // q)
         if int(hist.sum()) != terms:
             raise RuntimeError(f"histogram mass {int(hist.sum())} is not phi(q) q^n = {terms}")
         out.append(ExpSum(spec, tuple(int(x) for x in hist),
@@ -273,25 +261,15 @@ def crt_sum(spec, budget=DEFAULT_TERM_BUDGET):
     Uses S_u(rs; v) = S_{s_bar^2 u}(r; s_bar v) * S_{r_bar^2 u}(s; r_bar v)
     with r r_bar + s s_bar = 1; returns the complex value only.
     """
-    g, q = spec.g, spec.q
-    factors = factorize(q) if q > 1 else {}
-    value = complex(1.0)
-    terms = 0
-    u, v = spec.u, spec.v
-    rest = q
-    for p, e in factors.items():
+    value, terms, u, v, rest = complex(1.0), 0, spec.u, spec.v, spec.q
+    for p, e in (factorize(rest) if rest > 1 else {}).items():
         r = p**e
-        s = rest // r
-        if s == 1:
-            part = complete_sum(ExpSumSpec(g, u, r, v), budget)
-        else:
-            sbar = pow(s, -1, r)
-            rbar = (1 - s * sbar) // r
-            part = complete_sum(
-                ExpSumSpec(g, sbar * sbar * u, r, tuple(sbar * x for x in v)), budget
-            )
-            u = rbar * rbar * u % s
-            v = tuple(rbar * x % s for x in v)
+        s = rest // r  # the last factor has s = 1, sbar = 1 and rbar = 0
+        sbar = pow(s, -1, r)
+        rbar = (1 - s * sbar) // r
+        part = complete_sum(ExpSumSpec(spec.g, sbar * sbar * u, r, tuple(sbar * x for x in v)),
+                            budget)
+        u, v = rbar * rbar * u % s, tuple(rbar * x % s for x in v)
         value *= part.value
         terms += part.terms
         rest = s
@@ -306,14 +284,6 @@ def expsum_auto(spec, budget=DEFAULT_TERM_BUDGET):
 
 
 # -- weighted sums and the rational-point side of Poisson summation --------
-
-
-def weighted_sum_S(g, alpha, ctx, budget=DEFAULT_TERM_BUDGET):
-    """S(alpha) = sum over integer x of w(x) e(alpha g(x)), truncated box."""
-    X, w = ctx.lattice_points(g.n, budget)
-    gv = _eval_int_vec(g, X)
-    frac = float(alpha) % 1.0  # g is integer-valued, so e(alpha g) has period 1
-    return complex(np.sum(w * np.exp(2j * np.pi * frac * gv)))
 
 
 def su_qz(g, u, q, z, ctx, budget=DEFAULT_TERM_BUDGET):
@@ -417,15 +387,9 @@ def ntilde(g, q, budget=DEFAULT_TERM_BUDGET):
 def _ntilde_prime_vec(M1, basis, p, n):
     """Vectorized kernel-count sum over h mod p via minor ranks (n <= 3)."""
     total = 0
-    for Hs in residue_chunks(p, n):
-        E = {}
-        for a in range(n):
-            for b in range(n):
-                # pencil entries reduced mod p first: each int64 product stays below p^2
-                acc = np.full(Hs.shape[0], M1[a][b] % p, dtype=np.int64)
-                for i in range(n):
-                    acc += Hs[:, i] * (basis[i][a][b] % p)
-                E[a, b] = acc % p
+    pencil = np.array([[basis[i][a][b] % p for i in range(n)] for a in range(n) for b in range(n)])
+    for Hs in grid_values(pencil, p, p):  # the entries of M(h) - M1, mod p
+        E = {(a, b): (Hs[a * n + b] + M1[a][b] % p) % p for a in range(n) for b in range(n)}
         if n == 1:
             rank = (E[0, 0] != 0).astype(np.int64)
         elif n == 2:
@@ -433,15 +397,15 @@ def _ntilde_prime_vec(M1, basis, p, n):
             any_entry = (E[0, 0] != 0) | (E[0, 1] != 0) | (E[1, 0] != 0) | (E[1, 1] != 0)
             rank = any_entry.astype(np.int64) + (det != 0)
         else:
-            det = np.zeros(Hs.shape[0], dtype=np.int64)
+            det = np.zeros(Hs.shape[1], dtype=np.int64)
             for (i, j, k), sign in (
                 ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
                 ((2, 1, 0), -1), ((0, 2, 1), -1), ((1, 0, 2), -1),
             ):
                 det += sign * (E[0, i] * E[1, j] % p) * E[2, k]
             det %= p
-            any_entry = np.zeros(Hs.shape[0], dtype=bool)
-            minor2 = np.zeros(Hs.shape[0], dtype=bool)
+            any_entry = np.zeros(Hs.shape[1], dtype=bool)
+            minor2 = np.zeros(Hs.shape[1], dtype=bool)
             for a in range(3):
                 for b in range(3):
                     any_entry |= E[a, b] != 0

@@ -8,13 +8,15 @@ dtype of the grid, so int32 index grids of finite fields evaluate exactly
 for every modulus below 2^31.
 """
 
-from itertools import product
+from itertools import compress, product
+from math import prod
 
 import numpy as np
 
 from .generic import Poly
 
 _CHUNK = 1 << 20
+GRID_BLOCK = 1 << 18  # rows of the largest block of `grid_values`
 
 
 def residue_chunks(q, m, chunk=_CHUNK, dtype=np.int64):
@@ -60,6 +62,60 @@ def eval_mod_vec(g, X, q):
         if count % batch == 0:
             acc %= q
     return acc % q
+
+
+def grid_values(polys, q, side):
+    """B polynomials mod q on the chunks of `residue_chunks(side, m, GRID_BLOCK)`, as (B, rows).
+
+    `polys` lists polynomials in m variables, or is an array V (B, m) of linear
+    forms v.y.  A block fixes the leading variables x' of g = sum x'^a h_a(y);
+    each h_a is evaluated on the grid of y once.  A block may be read-only.
+    """
+    if isinstance(polys, np.ndarray):
+        (B, m), C = polys.shape, polys % q
+        keys = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    else:
+        terms = [f.to_generic().terms for f in polys]
+        B, m, keys = len(polys), polys[0].n, list(set().union(*terms))
+        C = np.array([[f.get(e, 0) % q for e in keys] for f in terms], dtype=np.int64)
+    k = next(k for k in range(m, -1, -1) if k == 0 or side**k <= GRID_BLOCK)  # y: the last k
+    groups = {}  # leading exponents a -> {exponents of y: coefficients of h_a}, none all zero
+    for e, c in compress(zip(keys, C.T), C.any(axis=0)):
+        groups.setdefault(e[:m - k], {})[e[m - k:]] = c
+    H = {a: _horner_grid(h, q, np.arange(side, dtype=np.int64)) for a, h in groups.items()}
+    H = {a: h % q if top > q else h for a, (h, top) in H.items()}
+    base, wide = H.pop((0,) * (m - k), 0), len(H) * q * q >= 2**62
+    for lead in product(range(side), repeat=m - k):
+        acc = base
+        for a, h in H.items():
+            c = prod(map(pow, lead, a)) % q
+            if c:
+                acc = (acc + c * h) % q if wide else acc + c * h
+        yield np.broadcast_to(acc if acc is base else acc % q, (B,) + (side,) * k).reshape(B, -1)
+
+
+def _horner_grid(terms, q, t):
+    """(values, top): sum of terms[e] y^e on the grid t^k, = mod q, in [0, top < 2^62 / len(t)).
+
+    `terms` maps k-tuples of exponents to (B,) coefficients in [0, q).  Horner in
+    the last variable runs over its non-empty layers, each evaluated the same
+    way; the values have shape (B,) + k axes, of length 1 where they are constant.
+    """
+    if () in terms:
+        return terms[()], q
+    layers = {}
+    for e, c in terms.items():
+        layers.setdefault(e[-1], {})[e[:-1]] = c
+    acc, top = None, 0
+    for d in range(max(layers), -1, -1):
+        if acc is not None:
+            acc, top = acc * t, top * len(t)
+        if d in layers:
+            layer, ltop = _horner_grid(layers[d], q, t)
+            acc, top = layer[..., None] if acc is None else acc + layer[..., None], top + ltop
+        if top * len(t) >= 2**62:
+            acc, top = acc % q, q
+    return acc, top
 
 
 def zero_count(g, chunks, q):

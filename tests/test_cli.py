@@ -149,6 +149,18 @@ def test_poisson_reports_the_integral_grid(poly_file, capsys):
     assert json.loads(capsys.readouterr().out)["grid_points"] is None
 
 
+def test_expsum_past_int64_keeps_an_exact_histogram(poly_file, capsys):
+    # phi(9) 9^20 = 72,945,992,754,341,572,806 > 2^63: the scaling by 9^17 for the
+    # dropped variables must not wrap around
+    g = diag_cubic(3, const=1)
+    g = CubicPolynomial.from_terms(20, {e + (0,) * 17: c for e, c in g.to_generic().terms.items()})
+    code = run(["expsum", "-f", poly_file(g), "-q", "9", "-u", "1",
+                "--budget", str(10**20), "--deterministic"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert sum(out["histogram"]) == out["terms"] == 6 * 9**20
+
+
 @pytest.mark.parametrize("n,q", [(3, 81), (4, 25)])
 def test_expsum_histograms_at_prime_powers_match_the_direct_scan(poly_file, capsys, n, q):
     rng = np.random.default_rng(q)

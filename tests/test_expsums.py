@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import diag_cubic, oracle_histogram, random_cubic
@@ -18,6 +18,7 @@ from cubicpoints.expsums import (ExpSumSpec, M_split_identity_check,
                                  crt_sum, expsum_auto, kernel_count, ntilde,
                                  squarefull_parts, theta_p)
 from cubicpoints.polynomials import CubicPolynomial
+from cubicpoints.residues import GRID_BLOCK
 
 
 def brute_sum(g, u, q, v):
@@ -234,6 +235,57 @@ def test_complete_sums_memory_stays_within_blocks():
         tracemalloc.stop()
     assert sums[5].histogram == complete_sum(ExpSumSpec(g, 1, q, (5,))).histogram
     assert peak < 8 * (6 * expsums._BLOCK_CELLS + 4 * q * q)
+
+
+def test_direct_scan_over_more_than_one_grid_block():
+    # 67^3 = 300,763 points: more than one block of the grid evaluator
+    q = 67
+    g = random_cubic(np.random.default_rng(67), 3)
+    assert q**3 > GRID_BLOCK
+    vs = [(0, 0, 0), (1, 2, 3), (66, 0, 5)]
+    with _without("_stationary_histograms"), _without("_separable_histograms"):
+        sums = expsums.complete_sums(g, 1, q, vs)
+    for v, res in zip(vs, sums):
+        assert res.histogram == oracle_histogram(ExpSumSpec(g, 1, q, v))
+
+
+def test_complete_sums_memory_stays_per_grid_block():
+    # 31^4 points in blocks of 31^3 rows: one int64 array of the whole grid is 7 MiB,
+    # one of a block 0.23 MiB, and the contraction gathers 2 MiB of L rows
+    import tracemalloc
+
+    g = random_cubic(np.random.default_rng(4), 4)
+    vs = [(1, 2, 3, 4), (0, 5, 1, 2), (3, 3, 3, 3)]
+    expsums.complete_sums(g, 1, 31, vs[:1])
+    tracemalloc.start()
+    try:
+        expsums.complete_sums(g, 1, 31, vs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+
+
+@given(n=st.integers(3, 24), q=st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11]),
+       terms=st.dictionaries(st.sampled_from([e for e in product(range(4), repeat=3)
+                                              if sum(e) <= 3]), st.integers(-30, 30)),
+       v=st.lists(st.integers(0, 10), min_size=24, max_size=24), u=st.integers(0, 10))
+@example(n=24, q=11, terms={}, v=[0] * 24, u=0)  # one used variable: a factor 11^23
+@settings(max_examples=60, deadline=None)
+def test_dropped_variables_scale_in_python_integers_past_int64(n, q, terms, v, u):
+    # g uses at most x1..x3; the other n - 3 variables add v_i y_i, uniform on d Z/q
+    # with d = gcd(q, those v_i), each residue of d Z/q q^(n-3) d / q times
+    g3 = CubicPolynomial.from_terms(3, {**terms, (0, 0, 3): 1})
+    v = v[:n]
+    hist3 = complete_sum(ExpSumSpec(g3, u, q, v[:3])).histogram
+    d = math.gcd(q, *v[3:])
+    expected = tuple(sum(hist3[(r - w) % q] for w in range(0, q, d)) * (q ** (n - 3) * d // q)
+                     for r in range(q))
+    g = CubicPolynomial.from_terms(n, {e + (0,) * (n - 3): c
+                                       for e, c in g3.to_generic().terms.items()})
+    res = complete_sum(ExpSumSpec(g, u, q, tuple(v)), budget=euler_phi(q) * q**n)
+    assert res.histogram == expected
+    assert sum(res.histogram) == res.terms == euler_phi(q) * q**n
 
 
 def test_histogram_mass_check_survives_optimized_mode(mixed2):
